@@ -4,15 +4,15 @@ Measures the two optimized hot paths against their reference
 implementations and writes ``BENCH_perf.json``:
 
 * **sim_fast_forward** — an E5-style low-load sustainable-bandwidth run
-  (three clients, rate <= 0.1 each) through the naive per-cycle loop and
-  the event-skipping fast path.  The two results must be bit-identical;
-  the section reports cycles/sec for both and the speedup.
+  (three clients, rate <= 0.1 each) through ``run_reference()`` (the
+  stepped reference loop) and ``run()`` (the event engine).  The two
+  results must be bit-identical; the section reports cycles/sec for
+  both and the speedup.
 * **event_engine** — a high-load (client rate 0.6) row-hit-heavy
-  eight-client system through the naive per-cycle loop and the
-  event-driven backend.  The two results must be bit-identical on
-  ``result_fingerprint``; the section reports the speedup (the
-  documented target is >= 5x at client_rate >= 0.5, where fast-forward
-  never wins).
+  eight-client system through ``run_reference()`` and ``run()``.  The
+  two results must be bit-identical on ``result_fingerprint``; the
+  section reports the speedup (the documented target is >= 5x at
+  client_rate >= 0.5, where there are few idle spans to skip).
 * **design_space** — the E10 MPEG2 exploration with the reference
   configuration (python pareto engine, cold caches) vs the optimized one
   (vectorized pareto, enumeration precheck, memoized evaluator), plus
@@ -105,7 +105,7 @@ _REQUIREMENTS = mpeg2_requirements()
 
 
 def build_simulator(
-    cycles: int, warmup: int, fast_forward: bool, seed: int = 0
+    cycles: int, warmup: int, seed: int = 0
 ) -> MemorySystemSimulator:
     """E5-style system: stream + block + random clients on 4 banks.
 
@@ -151,9 +151,7 @@ def build_simulator(
     return MemorySystemSimulator(
         controller=controller,
         clients=clients,
-        config=SimulationConfig(
-            cycles=cycles, warmup_cycles=warmup, fast_forward=fast_forward
-        ),
+        config=SimulationConfig(cycles=cycles, warmup_cycles=warmup),
     )
 
 
@@ -162,18 +160,21 @@ def bench_sim(
 ) -> None:
     total = cycles + warmup
     naive_s, naive_result = measure(
-        lambda: build_simulator(
-            cycles, warmup, fast_forward=False, seed=seed
-        ).run()
+        build_simulator(cycles, warmup, seed=seed).run_reference
     )
-    fast_sim = build_simulator(cycles, warmup, fast_forward=True, seed=seed)
+    fast_sim = build_simulator(cycles, warmup, seed=seed)
     fast_s, fast_result = measure(fast_sim.run)
+    if fast_sim.backend_used != "event":
+        raise AssertionError(
+            "run() left the event engine: "
+            f"{fast_sim.backend_fallback_reason}"
+        )
     identical = result_fingerprint(naive_result) == result_fingerprint(
         fast_result
     )
     if not identical:
         raise AssertionError(
-            "fast-forward result diverged from the naive loop"
+            "event engine result diverged from the reference loop"
         )
     report.add(
         "sim_fast_forward",
@@ -191,20 +192,20 @@ def bench_sim(
 
 
 #: Per-client request rate of the high-load event-engine scenario
-#: (client_rate >= 0.5: the regime where fast-forward never wins and
-#: only the event backend's command-scan skipping pays off).
+#: (client_rate >= 0.5: the regime with hardly any idle span, where
+#: only the engine's command-scan skipping pays off).
 HIGH_LOAD_RATE = 0.6
 
 
 def build_highload_simulator(
-    cycles: int, warmup: int, backend: str
+    cycles: int, warmup: int
 ) -> MemorySystemSimulator:
     """Row-hit-heavy eight-client system for the event-engine bench.
 
     Bank-high address mapping plus one private sequential stream per
     bank keeps every client inside its own open row, so the system is
     data-bus-limited: almost every cycle issues or waits on a column
-    command, fast-forward finds nothing to skip, and the naive loop's
+    command, there are hardly any idle spans, and the reference loop's
     full-window scheduler scan *is* the cost being measured.
     """
     macro = EDRAMMacro.build(
@@ -235,12 +236,7 @@ def build_highload_simulator(
     return MemorySystemSimulator(
         controller=controller,
         clients=clients,
-        config=SimulationConfig(
-            cycles=cycles,
-            warmup_cycles=warmup,
-            fast_forward=False,
-            backend=backend,
-        ),
+        config=SimulationConfig(cycles=cycles, warmup_cycles=warmup),
     )
 
 
@@ -249,19 +245,19 @@ def bench_event_engine(
 ) -> None:
     total = cycles + warmup
     naive_s, naive_result = measure(
-        lambda: build_highload_simulator(cycles, warmup, "cycle").run(),
+        lambda: build_highload_simulator(cycles, warmup).run_reference(),
         repeat=3,
     )
-    event_sim = build_highload_simulator(cycles, warmup, "event")
+    event_sim = build_highload_simulator(cycles, warmup)
     event_s, event_result = measure(event_sim.run, repeat=1)
     # measure() reuses the simulator only for the first run; re-build
     # for the remaining repeats so every run starts cold.
     for _ in range(2):
-        fresh = build_highload_simulator(cycles, warmup, "event")
+        fresh = build_highload_simulator(cycles, warmup)
         event_s = min(event_s, measure(fresh.run)[0])
     if event_sim.backend_used != "event":
         raise AssertionError(
-            "event backend fell back to cycle: "
+            "run() left the event engine: "
             f"{event_sim.backend_fallback_reason}"
         )
     identical = result_fingerprint(naive_result) == result_fingerprint(
@@ -269,7 +265,7 @@ def bench_event_engine(
     )
     if not identical:
         raise AssertionError(
-            "event backend result diverged from the naive loop"
+            "event engine result diverged from the reference loop"
         )
     report.add(
         "event_engine",
@@ -455,9 +451,7 @@ def evaluate_telemetry_point(seed: int, cycles: int) -> tuple:
     """One sweep point of the telemetry bench: a short simulation,
     reduced to its :func:`result_fingerprint` so the on/off comparison
     is literally a bit-identity check."""
-    result = build_simulator(
-        cycles, cycles // 8, fast_forward=False, seed=seed
-    ).run()
+    result = build_simulator(cycles, cycles // 8, seed=seed).run()
     return result_fingerprint(result)
 
 
@@ -1117,11 +1111,11 @@ def test_perf_smoke() -> None:
 
 def test_perf_deterministic() -> None:
     """Same seed -> bit-identical benchmark workload, twice over."""
-    first = build_simulator(500, 50, fast_forward=True, seed=42).run()
-    second = build_simulator(500, 50, fast_forward=True, seed=42).run()
+    first = build_simulator(500, 50, seed=42).run()
+    second = build_simulator(500, 50, seed=42).run()
     assert result_fingerprint(first) == result_fingerprint(second)
     # The seed visibly reaches the workload RNGs.
-    sim = build_simulator(500, 50, fast_forward=True, seed=42)
+    sim = build_simulator(500, 50, seed=42)
     assert [client.seed for client in sim.clients[1:]] == [49, 53]
 
 

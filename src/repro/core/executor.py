@@ -221,6 +221,21 @@ def chunk_file_name(index: int) -> str:
     return f"chunk-{index:05d}.json"
 
 
+def published_chunks(directory: Path) -> list:
+    """Chunk file names in ``directory``, lowest index first.
+
+    Only published ``chunk-*.json`` names count: :func:`atomic_write_json`
+    stages a chunk as ``chunk-NNNNN.json.tmp-*`` before renaming it into
+    place, and claiming that half-written file would steal it from
+    under its writer.
+    """
+    return sorted(
+        name
+        for name in os.listdir(directory)
+        if name.startswith("chunk-") and name.endswith(".json")
+    )
+
+
 class WorkQueue:
     """The shared work-queue directory: layout, claims, leases, results.
 
@@ -337,12 +352,12 @@ class WorkQueue:
         preserved); with none pending, expired leases are requeued and
         the claim retried once — the work-stealing path.
         """
-        for name in sorted(os.listdir(self.directory(PENDING))):
+        for name in published_chunks(self.directory(PENDING)):
             document = self.claim_chunk(name, worker_id)
             if document is not None:
                 return document
         if self.requeue_expired(lease_timeout_s):
-            for name in sorted(os.listdir(self.directory(PENDING))):
+            for name in published_chunks(self.directory(PENDING)):
                 document = self.claim_chunk(name, worker_id)
                 if document is not None:
                     return document
@@ -527,7 +542,7 @@ class WorkQueue:
                     continue
                 lease_ages[name] = round(max(0.0, now - mtime), 3)
         pending = (
-            sorted(os.listdir(self.directory(PENDING)))
+            published_chunks(self.directory(PENDING))
             if self.directory(PENDING).exists()
             else []
         )

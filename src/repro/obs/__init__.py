@@ -2,8 +2,8 @@
 
 One :class:`Observability` object rides along with a simulation run and
 receives every interesting event — command issues, request retirements,
-row hits/misses, FIFO pushes/stalls, refresh services and fast-forward
-skip windows.  It fans each event into
+row hits/misses, FIFO pushes/stalls, refresh services and the event
+engine's skip windows.  It fans each event into
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters and bounded
   histograms, exported as a JSON snapshot), and

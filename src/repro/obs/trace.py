@@ -10,10 +10,10 @@ clock, so the timeline is in real time and traces from different clock
 rates line up.
 
 Tracks (Perfetto rows) are lazily allocated by name — one per bank, one
-per client, one for the command bus, one for refresh and one for
-fast-forward windows — and the event count is capped so a runaway run
-degrades to a truncated trace (with a drop counter) instead of
-exhausting memory.
+per client, one for the command bus, one for refresh and one
+("fast-forward") for the event engine's skips — and the event count is
+capped so a runaway run degrades to a truncated trace (with a drop
+counter) instead of exhausting memory.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Event-driven simulator backend: advance between state changes.
+"""The event engine: the simulator's production loop.
 
-The cycle backend steps every cycle, and its fast-forward path can only
-skip *fully quiescent* spans (empty window, empty FIFOs) — so at high
-load it degenerates to the naive loop.  This engine generalizes the
-skip analysis: a span of cycles may be jumped whenever stepping each of
-them would provably change nothing observable, even while the window is
-full of requests and clients are back-pressured.  What remains is a
-timestamp-ordered walk over the cycles where something *can* happen:
+Stepping every cycle (the reference loop,
+:meth:`~repro.sim.simulator.MemorySystemSimulator.run_reference`) costs
+time in proportion to cycles elapsed.  This engine jumps over every
+span of cycles where stepping would provably change nothing observable,
+even while the window is full of requests and clients are
+back-pressured.  What remains is a timestamp-ordered walk over the
+cycles where something *can* happen:
 
-* a client's token bucket reaches issue threshold
-  (:meth:`~repro.traffic.client.MemoryClient.cycles_until_wants`);
+* a client's token bucket reaches issue threshold (its absolute wake
+  cycle, cached until the client next issues);
 * a queued request's next DRAM command becomes legal (bank ready
   cycles, tRRD, shared-data-bus availability — the same rules the
   device model enforces);
@@ -18,7 +18,7 @@ timestamp-ordered walk over the cycles where something *can* happen:
 * the warm-up reset and the final cycle (always stepped).
 
 Between those timestamps the engine batch-accrues exactly what the
-naive loop would have accrued: token-bucket credit for idle clients
+reference loop would have accrued: token-bucket credit for idle clients
 (bit-identical iterated accrual via ``tick_many``), stall cycles for
 back-pressured clients, and FIFO occupancy statistics.  Cost therefore
 scales with commands issued, not cycles elapsed.
@@ -30,8 +30,15 @@ issue.  The cached next-command time is maintained incrementally: an
 accepted request min-updates it in O(1); any issued command (request,
 refresh or policy precharge) invalidates it for lazy recomputation.
 
+Attached observability and live invariant checking ride along: stepped
+cycles emit the same hooks as the reference loop, each jump calls
+``obs.on_skip`` once (plus the per-cycle ``on_fifo_stall`` events a
+back-pressured client would have raised) and
+``LiveInvariantChecker.on_skip`` audits the jump against the soundness
+conditions below before it is applied.
+
 Safety argument, pinned by ``tests/test_sim_event_backend.py`` and the
-``diff_backend`` oracle: command legality is monotone in the cycle for
+``diff_engine`` oracle: command legality is monotone in the cycle for
 fixed bank/device state, the scheduler's candidate ranking depends on
 bank state only through ``_open_row`` (which changes only when commands
 issue), and all three stock arbiters are state-neutral on cycles where
@@ -40,10 +47,9 @@ skip event is computed conservatively — stepping a cycle where nothing
 happens is always exact; only a *late* event could diverge, and the
 differential fuzz corpus exists to catch exactly that.
 
-Configurations outside the analyzed envelope (observability attached,
-live invariant checking, controller subclasses, unknown scheduler or
-arbiter types) transparently fall back to the cycle backend;
-``MemorySystemSimulator.backend_fallback_reason`` records why.
+Configurations outside the analyzed envelope (controller or device
+subclasses, unknown scheduler or arbiter types) run on the reference
+loop; ``MemorySystemSimulator.backend_fallback_reason`` records why.
 """
 
 from __future__ import annotations
@@ -72,12 +78,8 @@ def event_fallback_reason(simulator) -> str | None:
 
     The engine's skip analysis is proven against the stock controller,
     schedulers and arbiters; anything it has not been analyzed for runs
-    on the cycle backend instead of risking silent divergence.
+    on the reference loop instead of risking silent divergence.
     """
-    if simulator.obs is not None:
-        return "observability requires per-cycle events"
-    if simulator.config.check_invariants != "off":
-        return "live invariant checking requires stepped cycles"
     controller = simulator.controller
     if type(controller) is not MemoryController:
         return (
@@ -115,6 +117,12 @@ class EventEngine:
         #: Earliest cycle at which the candidate scan can issue a
         #: command, given current window/bank/bus state; None = stale.
         self._next_cmd_time: int | None = None
+        #: Per client: ``(issued, wake)`` — the absolute cycle at which
+        #: the client next wants to issue, valid while its ``issued``
+        #: count is unchanged (credit only moves along its idle
+        #: trajectory in between; a back-pressure freeze always starts
+        #: with an issue).
+        self._wake = [(-1, 0)] * len(simulator.clients)
 
     # -- main loop -----------------------------------------------------------
 
@@ -128,9 +136,14 @@ class EventEngine:
         clients = sim.clients
         pending = sim._pending
         fifos = controller.fifos
+        obs = sim.obs
+        checker = sim.invariant_checker
         cycle = 0
         while cycle < hard_total:
             self._step(cycle)
+            if checker is not None:
+                checker.on_cycle(cycle, sim)
+                sim._maybe_raise_violations(checker)
             if cycle == warmup_barrier:
                 sim._reset_measurement()
             cycle += 1
@@ -153,14 +166,25 @@ class EventEngine:
             target = self._skip_target(cycle, hard_total, warmup_barrier)
             if target > cycle:
                 skipped = target - cycle
+                if checker is not None:
+                    checker.on_skip(cycle, skipped, sim)
+                    sim._maybe_raise_violations(checker)
+                if obs is not None:
+                    obs.on_skip(cycle, skipped)
                 for client in clients:
-                    if client.name in pending:
-                        # The naive loop re-offers the held request
-                        # every cycle; each refusal is one recorded
-                        # stall and the client's credit stays frozen.
-                        fifos[client.name].stall_cycles += skipped
-                    else:
+                    held = pending.get(client.name)
+                    if held is None:
                         client.tick_many(skipped)
+                        continue
+                    # The reference loop re-offers the held request
+                    # every cycle; each refusal is one recorded stall
+                    # and the client's credit stays frozen.
+                    fifos[client.name].stall_cycles += skipped
+                    if obs is not None:
+                        for _ in range(skipped):
+                            obs.on_fifo_stall(
+                                client.name, held.created_cycle
+                            )
                 controller.skip_idle_cycles(skipped)
                 sim.cycles_fast_forwarded += skipped
                 cycle = target
@@ -325,11 +349,12 @@ class EventEngine:
         due within it, no committed policy precharge can land in it, no
         request can be accepted on any of its cycles (window full or
         all FIFOs empty — the stock arbiters are state-neutral then),
-        no queued request's command becomes legal, and no idle client's
-        token bucket reaches threshold.  Retirement is deliberately not
-        an event: completed bursts retire with their recorded end cycle
-        whenever the next step happens, and nothing can observe the
-        delay (the warm-up reset and final cycle are always stepped).
+        no back-pressured client's FIFO has room, no queued request's
+        command becomes legal, and no idle client's token bucket
+        reaches threshold.  Retirement is deliberately not an event:
+        completed bursts retire with their recorded end cycle whenever
+        the next step happens, and nothing can observe the delay (the
+        warm-up reset and final cycle are always stepped).
         """
         controller = self.controller
         if controller._refresh_draining:
@@ -375,12 +400,18 @@ class EventEngine:
             # very next re-offer.
             if not controller.fifos[name].full:
                 return next_cycle
-        for client in self.sim.clients:
+        wake = self._wake
+        for index, client in enumerate(self.sim.clients):
             if client.name in pending:
                 continue  # frozen: neither ticks nor polls
-            ticks = client.cycles_until_wants(target - next_cycle)
-            if ticks == 0:
-                return next_cycle
-            if next_cycle + ticks < target:
-                target = next_cycle + ticks
+            issued, when = wake[index]
+            if issued != client.issued or when <= next_cycle:
+                when = next_cycle + client.cycles_until_wants(
+                    hard_total - next_cycle
+                )
+                wake[index] = (client.issued, when)
+                if when <= next_cycle:
+                    return next_cycle
+            if when < target:
+                target = when
         return target

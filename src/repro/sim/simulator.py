@@ -1,6 +1,8 @@
 """The memory-system simulator: clients -> controller -> device.
 
-Drives the whole stack cycle by cycle.  Client address streams are
+Drives the whole stack: :meth:`MemorySystemSimulator.run` on the event
+engine, :meth:`~MemorySystemSimulator.run_reference` cycle by cycle, with
+bit-identical results.  Client address streams are
 burst-aligned (one request = one burst), pacing is token-bucket per
 client, and a warm-up period is excluded from the statistics so steady-
 state sustainable bandwidth is measured rather than cold-start behaviour.
@@ -11,10 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.dram.device import DRAMDevice
-from repro.dram.organizations import AddressMapping
-from repro.controller.controller import ControllerConfig, MemoryController
+from repro.controller.controller import MemoryController
+from repro.sim.event_engine import EventEngine, event_fallback_reason
 from repro.controller.request import Request
 from repro.traffic.client import MemoryClient
 from repro.sim.stats import LatencyStats, SimulationResult
@@ -30,32 +32,29 @@ class SimulationConfig:
         align_to_burst: Align client addresses down to burst boundaries
             (one request = one full burst; realistic for streaming DMA
             engines and the right granularity for bandwidth accounting).
-        fast_forward: Skip provably idle cycles (no client can issue, the
-            controller is quiescent) in one jump instead of stepping them
-            one by one.  Results are bit-identical to the per-cycle loop;
-            set False to force the naive reference loop.
         check_invariants: Live verification mode (:mod:`repro.verify`).
             ``"off"`` (default) adds no machinery; ``"collect"`` streams
-            every issued command through an independent protocol oracle
-            and checks simulator-state invariants each stepped cycle,
-            gathering violations into ``simulator.invariant_report``;
-            ``"raise"`` does the same but raises
-            :class:`~repro.errors.VerificationError` at the first
-            violation.
+            every issued command through an independent protocol oracle,
+            checks simulator-state invariants each stepped cycle and
+            audits every skipped span, gathering violations into
+            ``simulator.invariant_report``; ``"raise"`` does the same
+            but raises :class:`~repro.errors.VerificationError` at the
+            first violation.
         max_cycles: Watchdog cap on *total* simulated cycles (warm-up
             included).  A run hitting the cap stops there and returns a
             truncated-but-valid result (``result.truncated`` set,
             ``truncation_reason == "max_cycles"``); statistics cover
-            the cycles actually simulated.  Deterministic: the naive
-            and fast-forward loops truncate at the same cycle.  None
-            (default) means no cap.
+            the cycles actually simulated.  Deterministic: the event
+            engine and the reference loop truncate at the same cycle.
+            None (default) means no cap.
         max_wall_s: Watchdog wall-clock deadline.  Checked every 512
-            stepped cycles (naive loop) or every event (fast loop); on
-            expiry the run stops and returns a truncated-but-valid
-            result with ``truncation_reason == "max_wall_s"``.
-            Inherently nondeterministic — use for hang protection in
-            sweeps, not for reproducible experiments.  None (default)
-            means no deadline.
+            cycles (reference loop) or every stepped cycle (event
+            engine); on expiry the run stops and returns a
+            truncated-but-valid result with
+            ``truncation_reason == "max_wall_s"``.  Inherently
+            nondeterministic — use for hang protection in sweeps, not
+            for reproducible experiments.  None (default) means no
+            deadline.
         cancel: Cooperative cancellation token — any object with a
             boolean ``cancelled`` attribute, typically a
             :class:`~repro.serve.resilience.CancelToken`.  Checked at
@@ -63,27 +62,14 @@ class SimulationConfig:
             the run stops and returns a truncated-but-valid result
             with ``truncation_reason == "cancelled"``.  None (default)
             adds no per-cycle work.
-        backend: Execution core.  ``"cycle"`` (default) is the stepped
-            loop (naive or fast-forward per ``fast_forward``);
-            ``"event"`` selects the event-driven engine
-            (:mod:`repro.sim.event_engine`), which advances directly
-            between state-changing timestamps so cost scales with
-            commands issued rather than cycles elapsed.  Results are
-            bit-identical to the cycle backend; configurations the
-            event engine does not support (observability attached,
-            live invariant checking, controller subclasses, custom
-            schedulers/arbiters) fall back to the cycle backend and
-            record why in ``simulator.backend_fallback_reason``.
     """
 
     cycles: int = 20_000
     warmup_cycles: int = 1_000
     align_to_burst: bool = True
-    fast_forward: bool = True
     check_invariants: str = "off"
     max_cycles: int | None = None
     max_wall_s: float | None = None
-    backend: str = "cycle"
     cancel: object = field(default=None, compare=False)
     #: Distributed trace context (a
     #: :class:`~repro.obs.tracectx.TraceContext` or its dict form)
@@ -99,10 +85,6 @@ class SimulationConfig:
             raise ConfigurationError("cycles must be >= 1")
         if self.warmup_cycles < 0:
             raise ConfigurationError("warmup must be >= 0")
-        if self.backend not in ("cycle", "event"):
-            raise ConfigurationError(
-                f"backend must be 'cycle' or 'event', got {self.backend!r}"
-            )
         if self.check_invariants not in ("off", "collect", "raise"):
             raise ConfigurationError(
                 "check_invariants must be 'off', 'collect' or 'raise', "
@@ -128,25 +110,26 @@ class MemorySystemSimulator:
     clients: list[MemoryClient]
     config: SimulationConfig = SimulationConfig()
     #: Optional :class:`~repro.obs.Observability` receiving command,
-    #: retirement, FIFO and fast-forward events.  None (the default)
+    #: retirement, FIFO and skip events.  None (the default)
     #: costs nothing and results are bit-identical either way.
     obs: object = None
 
     _next_request_id: int = field(default=0, init=False)
     _pending: dict = field(default_factory=dict, init=False)
-    #: Cycles the fast-forward path jumped over instead of stepping
-    #: (diagnostic; 0 after a naive run).
+    #: Cycles the event engine jumped over instead of stepping
+    #: (diagnostic; 0 after a reference run).
     cycles_fast_forwarded: int = field(default=0, init=False)
     #: Live checker when ``config.check_invariants != "off"``.
     invariant_checker: object = field(default=None, init=False, repr=False)
     #: :class:`~repro.verify.invariants.InvariantReport` after a checked
     #: run; None when checking was off.
     invariant_report: object = field(default=None, init=False)
-    #: Backend that actually executed the last :meth:`run` ("cycle" or
-    #: "event"); None before the first run.
+    #: Loop that executed the last run: "event" (the event engine) or
+    #: "cycle" (the stepped reference loop); None before the first run.
     backend_used: str | None = field(default=None, init=False)
-    #: Why a requested event backend fell back to the cycle backend;
-    #: None when no fallback happened.
+    #: Why the last :meth:`run` used the reference loop instead of the
+    #: event engine; None when the engine ran it (and after
+    #: :meth:`run_reference`).
     backend_fallback_reason: str | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -214,49 +197,30 @@ class MemorySystemSimulator:
     def run(self) -> SimulationResult:
         """Simulate warm-up plus measured cycles and gather statistics.
 
-        With ``config.fast_forward`` (the default) idle spans — no
-        client able to issue, no back-pressured request, controller
-        quiescent — are jumped in one step; the result is bit-identical
-        to the naive per-cycle loop (asserted by the equivalence grid in
-        ``tests/test_sim_fastforward.py``).
-
-        With ``config.backend == "event"`` the event-driven engine is
-        used instead (bit-identical as well; see
-        :mod:`repro.sim.event_engine`), falling back to the cycle
-        backend for unsupported configurations.
+        Runs on the event engine (:mod:`repro.sim.event_engine`), which
+        jumps over spans where stepping would change nothing; results
+        are bit-identical to :meth:`run_reference`.  Controller or
+        device subclasses and unknown schedulers or arbiters, which the
+        engine's skip analysis does not model, run on the reference
+        loop instead, and ``backend_fallback_reason`` says why.
         """
-        self.backend_fallback_reason = None
-        if self.config.backend == "event":
-            from repro.sim.event_engine import (
-                EventEngine,
-                event_fallback_reason,
-            )
-
-            reason = event_fallback_reason(self)
-            if reason is None:
-                self.backend_used = "event"
-                return EventEngine(self).run()
+        reason = event_fallback_reason(self)
+        if reason is not None:
+            result = self.run_reference()
             self.backend_fallback_reason = reason
+            return result
+        self.backend_used = "event"
+        self.backend_fallback_reason = None
+        return EventEngine(self).run()
+
+    def run_reference(self) -> SimulationResult:
+        """The reference loop: every cycle stepped, nothing skipped.
+
+        The oracle :meth:`run` is audited against
+        (:func:`repro.verify.differential.diff_engine`).
+        """
         self.backend_used = "cycle"
-        if self.config.fast_forward:
-            return self._run_fast()
-        return self._run_naive()
-
-    def _budget(self) -> tuple:
-        """(hard cycle cap, truncation reason-if-capped)."""
-        total = self.config.warmup_cycles + self.config.cycles
-        max_cycles = self.config.max_cycles
-        if max_cycles is not None and max_cycles < total:
-            return max_cycles, "max_cycles"
-        return total, None
-
-    def _deadline(self) -> float | None:
-        if self.config.max_wall_s is None:
-            return None
-        return time.perf_counter() + self.config.max_wall_s
-
-    def _run_naive(self) -> SimulationResult:
-        """Reference loop: every cycle stepped, no skipping."""
+        self.backend_fallback_reason = None
         hard_total, budget_reason = self._budget()
         deadline = self._deadline()
         cancel = self.config.cancel
@@ -290,61 +254,18 @@ class MemorySystemSimulator:
             )
         return self._collect(hard_total)
 
-    def _run_fast(self) -> SimulationResult:
-        """Event-skipping loop: identical per-cycle processing, but
-        provably dead cycles are replaced by batched credit/statistics
-        accrual and one clock jump."""
-        hard_total, budget_reason = self._budget()
-        deadline = self._deadline()
-        cancel = self.config.cancel
-        warmup_barrier = self.config.warmup_cycles - 1
-        clients = self.clients
-        controller = self.controller
-        checker = self.invariant_checker
-        cycle = 0
-        while cycle < hard_total:
-            self._drive_clients(cycle)
-            controller.step(cycle)
-            if checker is not None:
-                checker.on_cycle(cycle, self)
-                self._maybe_raise_violations(checker)
-            if cycle == warmup_barrier:
-                self._reset_measurement()
-            cycle += 1
-            if (
-                deadline is not None
-                and cycle < hard_total
-                and time.perf_counter() > deadline
-            ):
-                return self._collect(cycle, truncation=("max_wall_s", cycle))
-            if (
-                cancel is not None
-                and cycle < hard_total
-                and cancel.cancelled
-            ):
-                return self._collect(cycle, truncation=("cancelled", cycle))
-            if cycle >= hard_total:
-                break
-            target = self._next_event_cycle(
-                cycle, hard_total, warmup_barrier
-            )
-            if target > cycle:
-                skipped = target - cycle
-                for client in clients:
-                    client.tick_many(skipped)
-                controller.skip_idle_cycles(skipped)
-                self.cycles_fast_forwarded += skipped
-                if self.obs is not None:
-                    self.obs.on_skip(cycle, skipped)
-                if checker is not None:
-                    checker.on_skip(cycle, skipped, self)
-                    self._maybe_raise_violations(checker)
-                cycle = target
-        if budget_reason is not None:
-            return self._collect(
-                hard_total, truncation=(budget_reason, hard_total)
-            )
-        return self._collect(hard_total)
+    def _budget(self) -> tuple:
+        """(hard cycle cap, truncation reason-if-capped)."""
+        total = self.config.warmup_cycles + self.config.cycles
+        max_cycles = self.config.max_cycles
+        if max_cycles is not None and max_cycles < total:
+            return max_cycles, "max_cycles"
+        return total, None
+
+    def _deadline(self) -> float | None:
+        if self.config.max_wall_s is None:
+            return None
+        return time.perf_counter() + self.config.max_wall_s
 
     def _maybe_raise_violations(self, checker) -> None:
         if self.config.check_invariants != "raise" or not checker.violations:
@@ -356,36 +277,6 @@ class MemorySystemSimulator:
             f"invariant violated at cycle {first.cycle}: "
             f"[{first.check}] {first.detail}"
         )
-
-    def _next_event_cycle(
-        self, cycle: int, total: int, warmup_barrier: int
-    ) -> int:
-        """Next cycle that must actually be stepped, starting at ``cycle``.
-
-        A cycle may be skipped only when, on that cycle, every client
-        would merely tick its token bucket and the controller step would
-        be a no-op (plus statistics).  Two cycles are always barriers:
-        the warm-up reset cycle (retirements must not leak across the
-        measurement reset) and the final cycle (so every due burst
-        retires before collection, as in the naive loop).
-        """
-        if self._pending:
-            return cycle  # back-pressure retries and stall accounting
-        quiescent = self.controller.quiescent_until(cycle)
-        if quiescent is not None and quiescent <= cycle:
-            return cycle
-        target = total - 1
-        if cycle <= warmup_barrier:
-            target = min(target, warmup_barrier)
-        if quiescent is not None:
-            target = min(target, quiescent)
-        for client in self.clients:
-            ticks = client.cycles_until_wants(target - cycle)
-            if ticks == 0:
-                return cycle
-            if cycle + ticks < target:
-                target = cycle + ticks
-        return target
 
     def _reset_measurement(self) -> None:
         """Discard warm-up statistics."""

@@ -83,6 +83,12 @@ class MemoryClient:
     _addr_iter: object = field(default=None, init=False, repr=False)
     _rng: object = field(default=None, init=False, repr=False)
     _pacing_plans: dict = field(default_factory=dict, init=False, repr=False)
+    #: Cursor into the memoized pacing trajectory: the plan anchored at
+    #: the credit of the last issue (or re-anchor) and the idle ticks
+    #: taken along it since.  While ``_plan_ticks`` is within the
+    #: plan's trajectory, ``_credit == trajectory[_plan_ticks - 1]``.
+    _plan: object = field(default=None, init=False, repr=False)
+    _plan_ticks: int = field(default=0, init=False, repr=False)
     issued: int = field(default=0, init=False)
 
     _PACING_CACHE_LIMIT = 1024
@@ -113,7 +119,7 @@ class MemoryClient:
         simulator neither polls nor ticks, so credit accrual freezes —
         the held request already consumed its credit, and a stalled
         client must not bank extra credit it would burst out once the
-        back-pressure clears.  The fast-forward path relies on exactly
+        back-pressure clears.  The event engine's skips rely on exactly
         these semantics.
         """
         del cycle  # pacing is credit-based, not cycle-pattern-based
@@ -125,6 +131,7 @@ class MemoryClient:
         Call only when :meth:`wants_to_issue` returned True this cycle.
         """
         self._credit += self.rate - 1.0
+        self._plan = None
         self.issued += 1
         address = next(self._addr_iter)
         if self.read_fraction >= 1.0:
@@ -143,6 +150,7 @@ class MemoryClient:
     def tick(self) -> None:
         """Accrue pacing credit for a cycle in which nothing was issued."""
         self._credit = min(self._credit + self.rate, CREDIT_CAP)
+        self._plan_ticks += 1
 
     def tick_many(self, cycles: int) -> None:
         """Accrue credit for ``cycles`` consecutive idle cycles at once.
@@ -150,24 +158,28 @@ class MemoryClient:
         Bit-identical to calling :meth:`tick` ``cycles`` times — the
         accrual is iterated (not closed-form) so the floating-point
         rounding sequence matches the per-cycle loop exactly, which is
-        what lets the fast-forward simulator reproduce the naive loop's
-        issue cycles to the cycle.  Token-bucket states recur after
-        every issue, so the tick trajectory for each starting credit is
-        memoized and steady-state batches cost O(1).
+        what lets the event engine reproduce the naive loop's issue
+        cycles to the cycle.  Token-bucket states recur after every
+        issue, so the tick trajectory from each issue credit is
+        memoized, and a cursor along it makes repeated batches between
+        two issues cost O(1) each.
         """
         if cycles < 0:
             raise ConfigurationError(f"cycles must be >= 0, got {cycles}")
         if cycles == 0:
             return
-        plan = self._pacing_plans.get(self._credit)
-        if plan is not None and len(plan.trajectory) >= cycles:
-            self._credit = plan.trajectory[cycles - 1]
+        trajectory = self._cursor().trajectory
+        end = self._plan_ticks + cycles
+        if end <= len(trajectory):
+            self._credit = float(trajectory[end - 1])
+            self._plan_ticks = end
             return
         credit = self._credit
         rate = self.rate
         for _ in range(cycles):
             credit = min(credit + rate, CREDIT_CAP)
         self._credit = credit
+        self._plan_ticks = end  # past the trajectory: re-anchors lazily
 
     def cycles_until_wants(self, limit: int) -> int:
         """Idle cycles until :meth:`wants_to_issue` turns true.
@@ -176,41 +188,54 @@ class MemoryClient:
         token bucket reaches issue threshold, capped at ``limit`` (0
         means the client wants to issue on the very next poll).  Pure
         lookahead: performs (or replays memoized results of) the same
-        float operations :meth:`tick` would, without mutating state.
+        float operations :meth:`tick` would, without mutating the
+        credit.
         """
         if limit < 0:
             raise ConfigurationError(f"limit must be >= 0, got {limit}")
         plan = self._pacing_plan(limit)
-        if plan.want_ticks is not None and plan.want_ticks <= limit:
-            return plan.want_ticks
-        return min(len(plan.trajectory), limit)
+        ahead = len(plan.trajectory) - self._plan_ticks
+        if plan.want_ticks is not None:
+            ahead = plan.want_ticks - self._plan_ticks
+        return ahead if ahead < limit else limit
+
+    def _cursor(self) -> "_PacingPlan":
+        """The plan the credit currently lies on, re-anchored at the
+        current credit once the cursor has left the known trajectory."""
+        plan = self._plan
+        if plan is None or self._plan_ticks > len(plan.trajectory):
+            plans = self._pacing_plans
+            plan = plans.get(self._credit)
+            if plan is None:
+                if len(plans) >= self._PACING_CACHE_LIMIT:
+                    plans.clear()  # degenerate non-recurring credit stream
+                plan = _PacingPlan()
+                plans[self._credit] = plan
+            self._plan = plan
+            self._plan_ticks = 0
+        return plan
 
     def _pacing_plan(self, limit: int) -> "_PacingPlan":
-        """Memoized tick trajectory from the current credit level.
+        """The cursor's plan, extended ``limit`` ticks past the cursor.
 
         The trajectory is extended with ``np.add.accumulate``, whose
         loop-carried sequential double adds round exactly like the
         per-cycle ``tick`` loop (the credit stays below the 4.0 cap in
-        this region, so the cap never engages), keeping the fast path
+        this region, so the cap never engages), keeping the skips
         bit-identical while moving the float work out of Python.
         """
-        plans = self._pacing_plans
-        plan = plans.get(self._credit)
-        if plan is None:
-            if len(plans) >= self._PACING_CACHE_LIMIT:
-                plans.clear()  # degenerate non-recurring credit stream
-            plan = _PacingPlan()
-            plans[self._credit] = plan
-        if plan.want_ticks is None and len(plan.trajectory) < limit:
+        plan = self._cursor()
+        need = self._plan_ticks + limit
+        while plan.want_ticks is None and len(plan.trajectory) < need:
             trajectory = plan.trajectory
             have = len(trajectory)
             credit = trajectory[-1] if have else self._credit
             rate = self.rate
             if credit + rate >= 1.0:
                 plan.want_ticks = have
-                return plan
+                break
             guess = int((1.0 - credit) / rate) + 2
-            room = limit - have + 1
+            room = need - have + 1
             n = guess if guess <= room else room
             buf = np.empty(n + 1)
             buf[0] = credit

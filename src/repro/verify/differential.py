@@ -7,10 +7,11 @@ turns that promise into machinery:
 * :func:`diff_results` walks two full statistics structures
   field-by-field (dataclasses, dicts, tuples, latency sample lists) and
   returns every differing leaf with its path;
-* :func:`diff_simulations` runs one workload through the fast-forward
-  and the per-cycle loop and, when anything differs, re-runs both with
-  command recording to report the **first divergent command cycle** —
-  the cycle where the two executions stopped being the same machine;
+* :func:`diff_engine` runs one workload through the event engine
+  (``run``) and the stepped reference loop (``run_reference``) and,
+  when anything differs, re-runs both with command recording to report
+  the **first divergent command cycle** — the cycle where the two
+  executions stopped being the same machine;
 * :func:`diff_serial_vs_parallel` compares a process-pool sweep against
   its serial reference, point by point in input order;
 * :func:`diff_memoized_vs_cold` compares a memo-served evaluator result
@@ -184,6 +185,30 @@ def result_fingerprint(result: SimulationResult) -> tuple:
     )
 
 
+#: Metrics only the event engine's jumps produce; the reference loop
+#: never skips, so they are left out when the two are compared.
+SKIP_METRICS = frozenset(
+    {
+        "sim.cycles_fast_forwarded",
+        "sim.fast_forward_jumps",
+        "sim.fast_forward_span",
+    }
+)
+
+
+def engine_comparable_metrics(snapshot: dict) -> dict:
+    """A metrics snapshot without :data:`SKIP_METRICS`: what an
+    engine run and a reference run of one workload must agree on."""
+    return {
+        kind: {
+            name: value
+            for name, value in values.items()
+            if name not in SKIP_METRICS
+        }
+        for kind, values in snapshot.items()
+    }
+
+
 # -- command-log localization ------------------------------------------------
 
 
@@ -206,70 +231,45 @@ def first_command_divergence(left_log, right_log) -> FirstDivergence | None:
 # -- harnesses ---------------------------------------------------------------
 
 
-def diff_simulations(
-    factory, label: str = "fast-forward vs per-cycle"
+def diff_engine(
+    factory, label: str = "event engine vs reference loop"
 ) -> DifferentialReport:
-    """Run one workload through two simulator paths and compare.
+    """Run one workload through the event engine and the reference loop.
 
     Args:
-        factory: ``factory(fast_forward, record_commands)`` returning a
-            **fresh** :class:`MemorySystemSimulator` for each call; the
-            reference path is ``fast_forward=False``.
+        factory: ``factory(record_commands)`` returning a **fresh**
+            :class:`MemorySystemSimulator` for each call; its
+            :meth:`run` is compared with a twin's :meth:`run_reference`.
         label: Report label.
 
-    When the end results differ, both paths are re-run with command
-    recording enabled and the report carries the first divergent
-    command (and therefore the first divergent cycle).
+    The oracle cannot pass vacuously: when ``run`` did not execute on
+    the event engine (a controller subclass, say, sends it to the
+    reference loop), the report is *not* identical and names the
+    fallback reason.  When results differ, both paths re-run with
+    command recording and the report localizes the first divergent
+    command cycle.
     """
-    reference = factory(False, False).run()
-    optimized = factory(True, False).run()
-    diffs = diff_results(reference, optimized)
-    first = None
-    if diffs:
-        ref_sim = factory(False, True)
-        ref_sim.run()
-        opt_sim = factory(True, True)
-        opt_sim.run()
-        first = first_command_divergence(
-            ref_sim.controller.command_log, opt_sim.controller.command_log
-        )
-    return DifferentialReport(
-        label=label, diffs=diffs, first_divergence=first
-    )
-
-
-def diff_backend(
-    factory, label: str = "event backend vs per-cycle"
-) -> DifferentialReport:
-    """Run one workload through the event engine and the naive loop.
-
-    Args:
-        factory: ``factory(backend, record_commands)`` returning a
-            **fresh** :class:`MemorySystemSimulator` for each call;
-            the reference is ``backend="cycle"`` (the factory should
-            build it with ``fast_forward=False`` so the reference is
-            the naive stepped loop).
-        label: Report label.
-
-    Skips gracefully (reports identical) when the event engine fell
-    back to the cycle backend — there is nothing to diff then; the
-    fallback reason is recorded on the simulator.  When results
-    differ, both paths re-run with command recording and the report
-    localizes the first divergent command cycle.
-    """
-    reference = factory("cycle", False).run()
-    event_sim = factory("event", False)
-    optimized = event_sim.run()
-    if event_sim.backend_used != "event":
+    engine_sim = factory(False)
+    optimized = engine_sim.run()
+    if engine_sim.backend_used != "event":
         return DifferentialReport(
-            label=f"{label} (fallback: {event_sim.backend_fallback_reason})"
+            label=label,
+            diffs=[
+                FieldDiff(
+                    "backend_used",
+                    "event",
+                    f"{engine_sim.backend_used} "
+                    f"({engine_sim.backend_fallback_reason})",
+                )
+            ],
         )
+    reference = factory(False).run_reference()
     diffs = diff_results(reference, optimized)
     first = None
     if diffs:
-        ref_sim = factory("cycle", True)
-        ref_sim.run()
-        opt_sim = factory("event", True)
+        ref_sim = factory(True)
+        ref_sim.run_reference()
+        opt_sim = factory(True)
         opt_sim.run()
         first = first_command_divergence(
             ref_sim.controller.command_log, opt_sim.controller.command_log

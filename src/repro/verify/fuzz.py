@@ -6,11 +6,14 @@ pairs and metric matrices; each generated case is run through one of the
 registered *properties* — predicates that must hold on every valid
 input:
 
-* ``sim_differential`` — fast-forward simulation is bit-identical to
-  the per-cycle reference on the same workload;
+* ``sim_differential`` — the event engine (``run``) is bit-identical
+  to the stepped reference loop (``run_reference``) on the same
+  workload, with observability off, with it attached (metrics too) and
+  under ``check_invariants="raise"``;
 * ``sim_invariants`` — a live-checked run reports zero protocol/state
   violations and its recorded command trace replays cleanly through
-  :class:`~repro.dram.tracecheck.TraceChecker`;
+  :class:`~repro.dram.tracecheck.TraceChecker`, on the event engine and
+  on the reference loop;
 * ``pareto_engines`` — the python and numpy Pareto engines agree,
   ties, duplicates and NaNs included;
 * ``evaluator_memo`` — memoized evaluator results equal cold ones;
@@ -401,10 +404,8 @@ def build_client(params: dict):
 def build_simulator(
     params: dict,
     *,
-    fast_forward: bool,
     record_commands: bool = False,
     check_invariants: str = "off",
-    backend: str = "cycle",
     obs=None,
 ):
     """Instantiate a fresh simulator from a ``gen_sim_case`` dict."""
@@ -438,10 +439,7 @@ def build_simulator(
         controller=controller,
         clients=clients,
         config=SimulationConfig(
-            fast_forward=fast_forward,
-            check_invariants=check_invariants,
-            backend=backend,
-            **params["sim"],
+            check_invariants=check_invariants, **params["sim"]
         ),
         obs=obs,
     )
@@ -463,43 +461,80 @@ def build_requirements(params: dict):
 
 
 def check_sim_differential(params: dict) -> list:
-    from repro.verify.differential import diff_simulations
+    from repro.errors import VerificationError
+    from repro.obs import Observability
+    from repro.verify.differential import (
+        diff_engine,
+        diff_values,
+        engine_comparable_metrics,
+        result_fingerprint,
+    )
 
-    report = diff_simulations(
-        lambda fast_forward, record_commands: build_simulator(
-            params,
-            fast_forward=fast_forward,
-            record_commands=record_commands,
+    report = diff_engine(
+        lambda record_commands: build_simulator(
+            params, record_commands=record_commands
         )
     )
-    return [] if report.identical else [report.describe()]
+    if not report.identical:
+        return [report.describe()]
+    messages = []
+    reference_obs = Observability.create()
+    reference = result_fingerprint(
+        build_simulator(params, obs=reference_obs).run_reference()
+    )
+    engine_obs = Observability.create()
+    if result_fingerprint(
+        build_simulator(params, obs=engine_obs).run()
+    ) != reference:
+        messages.append("observability attached: fingerprint differs")
+    messages.extend(
+        f"observability attached: {diff}"
+        for diff in diff_values(
+            engine_comparable_metrics(reference_obs.metrics.snapshot()),
+            engine_comparable_metrics(engine_obs.metrics.snapshot()),
+            "metrics",
+        )[:5]
+    )
+    try:
+        checked = build_simulator(params, check_invariants="raise").run()
+    except VerificationError as error:
+        messages.append(f"check_invariants='raise': {error}")
+    else:
+        if result_fingerprint(checked) != reference:
+            messages.append("check_invariants='raise': fingerprint differs")
+    return messages
 
 
 def check_sim_invariants(params: dict) -> list:
+    """Live invariants and trace replay on both loops: the event engine
+    (whose skips the checker audits) and the reference loop (which
+    consults the device model every cycle)."""
     from repro.dram.tracecheck import TraceChecker
 
-    simulator = build_simulator(
-        params,
-        fast_forward=True,
-        record_commands=True,
-        check_invariants="collect",
-    )
-    simulator.run()
     messages = []
-    report = simulator.invariant_report
-    if not report.clean:
-        messages.append(f"live invariants: {report.summary()}")
-        messages.extend(str(v) for v in report.violations[:5])
-    trace_report = TraceChecker(
-        organization=simulator.device.organization,
-        timing=simulator.device.timing,
-    ).check(simulator.controller.command_log)
-    if not trace_report.clean:
-        messages.append(f"trace replay: {trace_report.summary()}")
-        messages.extend(
-            f"#{v.index} {v.command}: {v.reason}"
-            for v in trace_report.violations[:5]
+    for loop in ("run", "run_reference"):
+        simulator = build_simulator(
+            params,
+            record_commands=True,
+            check_invariants="collect",
         )
+        getattr(simulator, loop)()
+        report = simulator.invariant_report
+        if not report.clean:
+            messages.append(f"{loop}: live invariants: {report.summary()}")
+            messages.extend(f"{loop}: {v}" for v in report.violations[:5])
+        trace_report = TraceChecker(
+            organization=simulator.device.organization,
+            timing=simulator.device.timing,
+        ).check(simulator.controller.command_log)
+        if not trace_report.clean:
+            messages.append(
+                f"{loop}: trace replay: {trace_report.summary()}"
+            )
+            messages.extend(
+                f"{loop}: #{v.index} {v.command}: {v.reason}"
+                for v in trace_report.violations[:5]
+            )
     return messages
 
 
@@ -939,7 +974,7 @@ def write_failure_trace(failure: "FuzzFailure", directory) -> str | None:
     )
     obs = Observability.create(trace=True)
     try:
-        build_simulator(params, fast_forward=True, obs=obs).run()
+        build_simulator(params, obs=obs).run()
     except Exception:
         pass
     path = pathlib.Path(directory) / (

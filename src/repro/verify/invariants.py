@@ -10,20 +10,25 @@ a :class:`LiveInvariantChecker` rides along with a simulation run:
 * every stepped cycle, simulator-state invariants are checked — FIFO
   conservation, request-issue accounting, token-bucket bounds,
   refresh-deadline tracking, and completed-request timeline sanity;
-* every fast-forward jump is audited: a skip is only legal from a
-  provably quiescent state, and must not jump over a refresh deadline.
+* every event-engine jump is audited against the engine's own
+  soundness conditions over the skipped span: no refresh falls due, no
+  request can be accepted, no back-pressured client's FIFO has room, no
+  command the scheduler would try (or committed policy precharge)
+  becomes legal, and no idle client reaches its issue threshold.
 
 Violations are collected into an :class:`InvariantReport` (or raised as
 :class:`~repro.errors.VerificationError` in ``"raise"`` mode).  A clean
-report is the machine-checked form of the fast path's "bit-identical"
-claim: not only do the end results match, every intermediate command was
-legal and every conservation law held on the way there.
+report is the machine-checked form of the event engine's
+"bit-identical" claim: not only do the end results match, every
+intermediate command was legal, every conservation law held and every
+skipped span was inert on the way there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dram.commands import Command, CommandType
 from repro.dram.organizations import Organization
 from repro.dram.timing import TimingParameters
 from repro.traffic.client import CREDIT_CAP
@@ -69,7 +74,7 @@ class InvariantReport:
         violations: All violations found, in detection order.
         commands_checked: Commands streamed through the protocol oracle.
         cycles_checked: Stepped cycles on which state was checked.
-        skips_checked: Fast-forward jumps audited.
+        skips_checked: Event-engine jumps audited.
     """
 
     violations: tuple
@@ -140,43 +145,83 @@ class LiveInvariantChecker:
         self._check_completed(cycle, simulator.controller)
 
     def on_skip(self, cycle: int, skipped: int, simulator) -> None:
-        """Audit one fast-forward jump over ``[cycle, cycle+skipped)``."""
+        """Audit one jump over ``[cycle, cycle+skipped)`` before it is
+        applied: every cycle of the span must be one where stepping
+        would change nothing.  Legality is monotone in the cycle for
+        fixed bank state, so each condition is checked at the span's
+        last cycle."""
         self._skips_checked += 1
         controller = simulator.controller
-        if simulator._pending:
-            self._state_violation(
-                cycle,
-                "skip.pending",
-                f"skipped {skipped} cycles with back-pressured "
-                f"requests held for {sorted(simulator._pending)}",
-            )
-        if controller.window:
-            self._state_violation(
-                cycle,
-                "skip.window",
-                f"skipped {skipped} cycles with {len(controller.window)} "
-                f"requests in the scheduling window",
-            )
-        busy = [
-            name
-            for name, fifo in controller.fifos.items()
-            if len(fifo)
-        ]
-        if busy:
-            self._state_violation(
-                cycle,
-                "skip.fifo",
-                f"skipped {skipped} cycles with queued requests in "
-                f"{busy}",
-            )
+        device = simulator.device
+        last = cycle + skipped - 1
         scheduler = controller.refresh_scheduler
-        if scheduler is not None and scheduler.due(cycle + skipped - 1):
+        if scheduler is not None and (
+            controller._refresh_draining or scheduler.due(last)
+        ):
             self._state_violation(
                 cycle,
                 "skip.refresh_deadline",
                 f"skip to {cycle + skipped} jumps over a refresh due at "
                 f"{scheduler.quiescent_until(cycle)}",
             )
+        if len(controller.window) < controller.config.window_size:
+            busy = [
+                name for name, fifo in controller.fifos.items() if len(fifo)
+            ]
+            if busy:
+                self._state_violation(
+                    cycle,
+                    "skip.accept",
+                    f"skipped {skipped} cycles with window room and "
+                    f"queued requests in {busy}",
+                )
+        room = [
+            name
+            for name in simulator._pending
+            if not controller.fifos[name].full
+        ]
+        if room:
+            self._state_violation(
+                cycle,
+                "skip.backpressure",
+                f"skipped {skipped} cycles while held requests of "
+                f"{sorted(room)} had FIFO room",
+            )
+        for request in controller._candidate_order(last):
+            command = controller._next_command(request, last)
+            if command is not None and device.can_issue(command):
+                self._state_violation(
+                    cycle,
+                    "skip.command",
+                    f"skip to {cycle + skipped} jumps over {command}, "
+                    f"legal for request {request.request_id}",
+                )
+                break
+        for bank_index in sorted(controller._close_wanted):
+            command = Command(
+                kind=CommandType.PRECHARGE, cycle=last, bank=bank_index
+            )
+            if device.bank(bank_index).open_row(last) is None or (
+                device.can_issue(command)
+            ):
+                self._state_violation(
+                    cycle,
+                    "skip.policy_precharge",
+                    f"skip to {cycle + skipped} jumps over the committed "
+                    f"precharge of bank {bank_index}",
+                )
+        for client in simulator.clients:
+            if client.name in simulator._pending:
+                continue
+            ticks = client.cycles_until_wants(skipped)
+            if ticks < skipped:
+                self._state_violation(
+                    cycle,
+                    "skip.client",
+                    f"client {client.name} wants to issue at "
+                    f"{cycle + ticks}, inside the skip to "
+                    f"{cycle + skipped}",
+                )
 
     def on_measurement_reset(self, completed_discarded: int) -> None:
         """The simulator is about to clear warm-up statistics."""

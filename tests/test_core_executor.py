@@ -190,6 +190,39 @@ class TestWorkQueuePrimitives:
             handle.write('{"fingerprint": "torn", "resu')
         assert queue.load_segment_snapshot() == {"fp": "text"}
 
+    def test_staged_chunk_is_never_claimed(self, tmp_path, monkeypatch):
+        """A worker polling while a chunk is still being written sees
+        only its ``.tmp-`` staging file, and must leave it alone so the
+        publish can rename it into place."""
+        import json
+
+        queue = WorkQueue(tmp_path / "q")
+        queue.reset()
+        pending = queue.directory("pending")
+        (pending / "chunk-00007.json.tmp-deadbeef").write_text('{"chu')
+        raced = []
+        dump = json.dump
+
+        def dump_then_poll(document, handle):
+            dump(document, handle)
+            handle.flush()
+            staged = sorted(n for n in os.listdir(pending) if ".tmp-" in n)
+            raced.append(
+                (staged, queue.claim_next("racer", lease_timeout_s=30.0))
+            )
+
+        monkeypatch.setattr(json, "dump", dump_then_poll)
+        queue.publish_chunk(0, [0], ["a"], None)
+        monkeypatch.undo()
+        ((staged, claimed),) = raced
+        assert len(staged) == 2  # the stray file and the chunk in flight
+        assert claimed is None
+        assert os.listdir(queue.directory("leases")) == []
+        chunk = queue.claim_next("w1", lease_timeout_s=30.0)
+        assert chunk is not None and chunk["chunk"] == 0
+        assert queue.claim_next("w2", lease_timeout_s=30.0) is None
+        assert queue.status(lease_timeout_s=30.0)["pending"] == 0
+
     def test_status_snapshot(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         queue.reset()
@@ -381,6 +414,12 @@ class TestWorkQueueExecutor:
             time.sleep(0.01)
         chunk = queue.claim_chunk("chunk-00000.json", "doomed")
         assert chunk is not None, "test lost the claim race"
+        # Backdate the lease at once: were the coordinator to sight it
+        # fresh (during the fsync below), the backdating would read as a
+        # renewal and the survivor would steal the lease before the
+        # coordinator requeued it.
+        stale = time.time() - 100
+        os.utime(chunk["_lease_path"], (stale, stale))
         # The doomed worker completed its first point before dying.
         with ResultStore(
             path=queue.segment_path("doomed"), fsync=True
@@ -389,8 +428,6 @@ class TestWorkQueueExecutor:
                 chunk["keys"][0],
                 encode_outcome(PointOutcome(ok=True, value=0)),
             )
-        stale = time.time() - 100
-        os.utime(chunk["_lease_path"], (stale, stale))
         worker_loop(
             tmp_path / "q", worker_id="w1", max_idle_s=30.0, poll_s=0.01
         )

@@ -1,14 +1,16 @@
-"""Fast-forward simulator: bit-identity with the naive loop + pacing.
+"""Event-engine skipping vs the stepped reference loop + pacing.
 
-The event-skipping path must be *observationally indistinguishable*
-from stepping every cycle: same completed requests in the same order,
-same command counts, same latency samples, same FIFO statistics.  The
-grid here crosses client mixes, bank counts, refresh, page policy and
-controller subclasses; any divergence is a bug in the skip-safety
-analysis, not an acceptable approximation.
+``run()`` jumps over inert spans on the event engine; it must be
+*observationally indistinguishable* from ``run_reference()``, which
+steps every cycle: same completed requests in the same order, same
+command counts, same latency samples, same FIFO statistics.  The grid
+here crosses client mixes, bank counts, refresh, page policy and
+controller subclasses (which ``run()`` hands to the reference loop);
+any divergence is a bug in the skip-safety analysis, not an acceptable
+approximation.
 
-Also pins the token-bucket pacing contract the fast path relies on:
-credit accrual freezes while a client's request is back-pressured.
+Also pins the token-bucket pacing contract the skips rely on: credit
+accrual freezes while a client's request is back-pressured.
 """
 
 import pytest
@@ -24,6 +26,7 @@ from repro.sim.simulator import MemorySystemSimulator, SimulationConfig
 from repro.traffic.client import MemoryClient
 from repro.traffic.patterns import RandomPattern, SequentialPattern
 from repro.units import MBIT
+from repro.verify.differential import result_fingerprint
 
 
 def make_clients(mix: str, rate: float):
@@ -60,7 +63,6 @@ def build(
     refresh=True,
     policy=None,
     controller_cls=MemoryController,
-    fast=True,
     cycles=3000,
     warmup=300,
     fifo_capacity=8,
@@ -85,37 +87,18 @@ def build(
     return MemorySystemSimulator(
         controller=controller,
         clients=make_clients(mix, rate),
-        config=SimulationConfig(
-            cycles=cycles, warmup_cycles=warmup, fast_forward=fast
-        ),
-    )
-
-
-def fingerprint(result):
-    """Every observable field of a SimulationResult."""
-    return (
-        result.requests_completed,
-        result.data_bits_transferred,
-        result.commands,
-        result.refreshes,
-        result.bank_activations,
-        result.fifo_high_water,
-        result.fifo_stall_cycles,
-        result.row_hit_rate,
-        result.latency.digest(),
-        {
-            name: stats.digest()
-            for name, stats in result.latency_by_client.items()
-        },
+        config=SimulationConfig(cycles=cycles, warmup_cycles=warmup),
     )
 
 
 def assert_equivalent(**kwargs):
-    naive = build(fast=False, **kwargs)
-    fast = build(fast=True, **kwargs)
-    assert fingerprint(naive.run()) == fingerprint(fast.run())
-    assert naive.cycles_fast_forwarded == 0
-    return fast
+    reference = build(**kwargs)
+    engine = build(**kwargs)
+    assert result_fingerprint(reference.run_reference()) == (
+        result_fingerprint(engine.run())
+    )
+    assert reference.cycles_fast_forwarded == 0
+    return engine
 
 
 class TestFastForwardEquivalence:
@@ -135,16 +118,21 @@ class TestFastForwardEquivalence:
         assert_equivalent(policy=ClosedPagePolicy(), rate=0.01)
 
     def test_prefetch_controller(self):
-        assert_equivalent(
+        # A controller subclass runs on the reference loop, and says so.
+        sim = assert_equivalent(
             controller_cls=PrefetchingMemoryController,
             mix="stream",
             rate=0.05,
         )
+        assert sim.backend_used == "cycle"
+        assert "PrefetchingMemoryController" in sim.backend_fallback_reason
 
     def test_rowcache_controller(self):
-        assert_equivalent(
+        sim = assert_equivalent(
             controller_cls=RowCacheController, mix="stream", rate=0.05
         )
+        assert sim.backend_used == "cycle"
+        assert "RowCacheController" in sim.backend_fallback_reason
 
     def test_zero_warmup(self):
         assert_equivalent(warmup=0, rate=0.01)
@@ -153,21 +141,25 @@ class TestFastForwardEquivalence:
         assert_equivalent(mix="stream", rate=0.005)
 
     def test_fast_path_actually_skips(self):
-        sim = build(rate=0.002, fast=True)
+        sim = build(rate=0.002)
         sim.run()
-        # At 0.2% offered load the run is overwhelmingly idle; a fast
-        # path that never skips is a silently-broken fast path.
+        # At 0.2% offered load the run is overwhelmingly idle; an
+        # engine that never skips is a silently-broken engine.
+        assert sim.backend_used == "event"
         assert sim.cycles_fast_forwarded > 1000
 
     def test_fast_forward_off_steps_every_cycle(self):
-        sim = build(rate=0.002, fast=False)
-        sim.run()
+        sim = build(rate=0.002)
+        sim.run_reference()
+        assert sim.backend_used == "cycle"
         assert sim.cycles_fast_forwarded == 0
 
     def test_backpressure_equivalence(self):
-        # A 1-deep FIFO under load exercises the _pending barrier: the
-        # fast path must not skip while a request is held back.
-        assert_equivalent(rate=0.5, fifo_capacity=1)
+        # A 1-deep FIFO under load keeps requests held back: the engine
+        # freezes their credit and books one stall per skipped cycle.
+        sim = assert_equivalent(rate=0.5, fifo_capacity=1)
+        assert sum(sim.controller.fifos[n].stall_cycles for n in (
+            "s0", "r0")) > 0
 
 
 class TestPacingContract:
@@ -186,8 +178,8 @@ class TestPacingContract:
             for _ in range(span):
                 a.tick()
             b.tick_many(span)
-            # Bit-identical, not approximately equal: the fast path
-            # replays the naive loop's float rounding sequence.
+            # Bit-identical, not approximately equal: tick_many
+            # replays the per-cycle loop's float rounding sequence.
             assert a._credit == b._credit
 
     def test_cycles_until_wants_is_pure_lookahead(self):
@@ -203,6 +195,43 @@ class TestPacingContract:
             assert not client.wants_to_issue(0)
             client.tick()
         assert client.wants_to_issue(0)
+
+    def test_cursor_follows_mixed_ticks_and_issues(self):
+        """tick, tick_many and lookahead share one cursor along the
+        memoized trajectory; every mix matches plain per-cycle ticks,
+        across issues."""
+        def make():
+            return MemoryClient(
+                name="c",
+                pattern=SequentialPattern(base=0, length=1024),
+                rate=0.0137,
+            )
+
+        mixed, stepped = make(), make()
+        for _ in range(12):
+            wait = mixed.cycles_until_wants(10_000)
+            brute = 0
+            while not stepped.wants_to_issue(0):
+                stepped.tick()
+                brute += 1
+            assert wait == brute
+            plan = mixed._plan
+            done = 0
+            for span in (1, 5, 0, 13):
+                span = min(span, wait - done)
+                mixed.tick_many(span)
+                done += span
+                if done < wait:
+                    mixed.tick()
+                    done += 1
+                # Still on the memoized trajectory: no re-anchor.
+                assert mixed._plan is plan
+                assert mixed.cycles_until_wants(10_000) == wait - done
+            mixed.tick_many(wait - done)
+            assert mixed.credit == stepped.credit
+            assert mixed.wants_to_issue(0)
+            mixed.next_request()
+            stepped.next_request()
 
     def test_cycles_until_wants_respects_limit(self):
         client = MemoryClient(
@@ -228,7 +257,7 @@ class TestPacingContract:
         no credit while its request is held in the simulator's pending
         slot (the held request already spent its credit; banking more
         would burst out after the stall and distort pacing)."""
-        sim = build(rate=0.5, fifo_capacity=1, fast=False)
+        sim = build(rate=0.5, fifo_capacity=1)
         client = sim.clients[0]
         observed_frozen = False
         total = sim.config.warmup_cycles + sim.config.cycles

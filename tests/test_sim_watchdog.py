@@ -10,13 +10,11 @@ from repro.sim.simulator import SimulationConfig
 from repro.verify.differential import result_fingerprint
 
 
-def _build(fast_forward, **overrides):
+def _build(**overrides):
     simulator = build_injected_simulator(
         None, cycles=4_000, warmup_cycles=300, seed=0
     )
-    simulator.config = dataclasses.replace(
-        simulator.config, fast_forward=fast_forward, **overrides
-    )
+    simulator.config = dataclasses.replace(simulator.config, **overrides)
     return simulator
 
 
@@ -35,7 +33,7 @@ class TestValidation:
 
 class TestMaxCycles:
     def test_truncates_deterministically(self):
-        result = _build(False, max_cycles=2_000).run()
+        result = _build(max_cycles=2_000).run_reference()
         assert result.truncated
         assert result.truncation_reason == "max_cycles"
         assert result.truncated_at_cycle == 2_000
@@ -45,46 +43,46 @@ class TestMaxCycles:
         assert result.requests_completed > 0
 
     def test_fast_and_naive_truncate_identically(self):
-        naive = _build(False, max_cycles=2_000).run()
-        fast = _build(True, max_cycles=2_000).run()
+        naive = _build(max_cycles=2_000).run_reference()
+        fast = _build(max_cycles=2_000).run()
         assert result_fingerprint(naive) == result_fingerprint(fast)
         assert naive.truncated_at_cycle == fast.truncated_at_cycle
 
     def test_generous_cap_never_truncates(self):
-        result = _build(True, max_cycles=1_000_000).run()
+        result = _build(max_cycles=1_000_000).run()
         assert not result.truncated
         assert result.truncation_reason is None
         assert result.truncated_at_cycle is None
         assert result.cycles == 4_000
 
     def test_truncation_before_warmup(self):
-        result = _build(False, max_cycles=100).run()
+        result = _build(max_cycles=100).run_reference()
         assert result.truncated
         # No measurement reset happened: the short whole-run window is
         # what the statistics cover.
         assert result.cycles == 100
 
     def test_result_stays_usable(self):
-        result = _build(False, max_cycles=1_500).run()
+        result = _build(max_cycles=1_500).run_reference()
         assert "requests over" in result.summary()
         assert result.sustained_bandwidth_bits_per_s >= 0.0
 
 
 class TestMaxWall:
     def test_expired_deadline_truncates(self):
-        result = _build(False, max_wall_s=0.0).run()
+        result = _build(max_wall_s=0.0).run_reference()
         assert result.truncated
         assert result.truncation_reason == "max_wall_s"
         assert result.truncated_at_cycle < 4_300
         assert "requests over" in result.summary()
 
     def test_fast_path_also_guarded(self):
-        result = _build(True, max_wall_s=0.0).run()
+        result = _build(max_wall_s=0.0).run()
         assert result.truncated
         assert result.truncation_reason == "max_wall_s"
 
     def test_generous_deadline_never_truncates(self):
-        result = _build(True, max_wall_s=60.0).run()
+        result = _build(max_wall_s=60.0).run()
         assert not result.truncated
 
 
@@ -94,7 +92,7 @@ class TestCancellation:
 
         token = CancelToken()
         token.cancel("test asked nicely")
-        result = _build(False, cancel=token).run()
+        result = _build(cancel=token).run_reference()
         assert result.truncated
         assert result.truncation_reason == "cancelled"
         assert result.truncated_at_cycle < 4_300
@@ -104,7 +102,7 @@ class TestCancellation:
 
         token = CancelToken()
         token.cancel("test asked nicely")
-        result = _build(True, cancel=token).run()
+        result = _build(cancel=token).run()
         assert result.truncated
         assert result.truncation_reason == "cancelled"
 
@@ -114,14 +112,14 @@ class TestCancellation:
         class _Flag:
             cancelled = True
 
-        result = _build(False, cancel=_Flag()).run()
+        result = _build(cancel=_Flag()).run_reference()
         assert result.truncation_reason == "cancelled"
 
     def test_uncancelled_token_changes_nothing(self):
         from repro.serve.resilience import CancelToken
 
-        clean = _build(True).run()
-        watched = _build(True, cancel=CancelToken()).run()
+        clean = _build().run()
+        watched = _build(cancel=CancelToken()).run()
         assert not watched.truncated
         assert result_fingerprint(clean) == result_fingerprint(watched)
 
@@ -130,7 +128,7 @@ class TestFingerprintExclusion:
     def test_truncation_fields_not_fingerprinted(self):
         # The fingerprint is the bit-identity surface; wall-clock
         # truncation metadata must never enter it.
-        full = _build(True).run()
+        full = _build().run()
         fingerprint = result_fingerprint(full)
         flat = repr(fingerprint)
         assert "truncat" not in flat

@@ -1,13 +1,13 @@
-"""Edge cases at the fast-forward x refresh boundary.
+"""Edge cases at the event-engine skip x refresh boundary.
 
-The riskiest interaction in the event-skipping fast path: an idle span
-the simulator wants to jump over that *contains a refresh deadline*.
-The skip target must be capped at the scheduler's quiescent point so
-the controller wakes up exactly when refresh is due — never a cycle
-late.  These tests pin the off-by-one surface: deadlines strictly
-inside a skipped window, the quiescent cycle landing exactly on the
-deadline (integer and fractional intervals), and bit-identity with the
-per-cycle loop across a retention sweep.
+The riskiest interaction in the engine's skipping: an inert span it
+wants to jump over that *contains a refresh deadline*.  The skip target
+must be capped at the scheduler's quiescent point so the controller
+wakes up exactly when refresh is due — never a cycle late.  These tests
+pin the off-by-one surface: deadlines strictly inside a skipped window,
+the quiescent cycle landing exactly on the deadline (integer and
+fractional intervals), and bit-identity with the stepped reference loop
+across a retention sweep.
 """
 
 import math
@@ -16,6 +16,7 @@ import pytest
 
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import PC100_TIMING
+from repro.sim.event_engine import EventEngine
 from repro.verify.differential import result_fingerprint
 from repro.verify.fuzz import build_simulator
 
@@ -66,15 +67,16 @@ def idle_params(retention_cycles, cycles=900, rate=0.004, n_rows=16):
 
 
 def fingerprints(params):
-    naive = build_simulator(params, fast_forward=False)
-    fast = build_simulator(params, fast_forward=True)
-    naive_result = naive.run()
-    fast_result = fast.run()
-    assert naive.cycles_fast_forwarded == 0
+    reference = build_simulator(params)
+    engine = build_simulator(params)
+    reference_result = reference.run_reference()
+    engine_result = engine.run()
+    assert reference.cycles_fast_forwarded == 0
+    assert engine.backend_used == "event"
     return (
-        result_fingerprint(naive_result),
-        result_fingerprint(fast_result),
-        fast,
+        result_fingerprint(reference_result),
+        result_fingerprint(engine_result),
+        engine,
     )
 
 
@@ -83,10 +85,10 @@ class TestDeadlineInsideSkippedWindow:
         # Interval of 100 cycles, requests ~250 cycles apart: most
         # refresh deadlines sit strictly inside skipped idle windows.
         params = idle_params(retention_cycles=1600)
-        naive_fp, fast_fp, fast = fingerprints(params)
-        assert naive_fp == fast_fp
-        assert fast.cycles_fast_forwarded > 100
-        result = build_simulator(params, fast_forward=True).run()
+        reference_fp, engine_fp, engine = fingerprints(params)
+        assert reference_fp == engine_fp
+        assert engine.cycles_fast_forwarded > 100
+        result = build_simulator(params).run()
         assert result.refreshes >= 5
 
     @pytest.mark.parametrize(
@@ -95,17 +97,15 @@ class TestDeadlineInsideSkippedWindow:
     def test_retention_sweep_is_bit_identical(self, retention_cycles):
         # Odd intervals produce fractional due cycles; powers of two
         # and round numbers produce exact integer deadlines.  All must
-        # agree with the per-cycle loop.
-        naive_fp, fast_fp, _ = fingerprints(
+        # agree with the stepped reference loop.
+        reference_fp, engine_fp, _ = fingerprints(
             idle_params(retention_cycles=retention_cycles)
         )
-        assert naive_fp == fast_fp
+        assert reference_fp == engine_fp
 
     def test_skips_stay_clean_under_live_invariants(self):
         simulator = build_simulator(
-            idle_params(retention_cycles=1600),
-            fast_forward=True,
-            check_invariants="raise",
+            idle_params(retention_cycles=1600), check_invariants="raise"
         )
         simulator.run()  # skip.refresh_deadline would raise here
         report = simulator.invariant_report
@@ -164,12 +164,20 @@ class TestQuiescentExactlyAtDeadline:
 
     def test_controller_quiescence_is_capped_by_refresh(self):
         params = idle_params(retention_cycles=1600)
-        simulator = build_simulator(params, fast_forward=True)
+        simulator = build_simulator(params)
         controller = simulator.controller
         scheduler = controller._refresh
-        # Idle controller, no traffic: its only future obligation is
-        # the refresh deadline, and it must report exactly that cycle.
-        assert controller.quiescent_until(0) == scheduler.quiescent_until(0)
-        cycle = controller.quiescent_until(0)
-        controller.step(cycle)
-        assert controller.refreshes_issued + scheduler.refreshes_issued > 0
+        engine = EventEngine(simulator)
+        simulator._drive_clients(0)
+        controller.step(0)  # the refresh due at cycle 0 issues
+        assert controller.refreshes_issued == 1
+        # Idle controller, no traffic yet (the client's first wake lies
+        # beyond the deadline): its only obligation is the next refresh
+        # deadline, and the engine must skip to exactly that cycle.
+        deadline = scheduler.quiescent_until(1)
+        wake = 1 + simulator.clients[0].cycles_until_wants(10_000)
+        assert 1 < deadline < wake
+        assert engine._skip_target(1, 10_000, warmup_barrier=-1) == deadline
+        assert not scheduler.due(deadline - 1)
+        controller.step(deadline)
+        assert controller.refreshes_issued == 2

@@ -5,7 +5,8 @@ false positives on correct code (every mode, every load level) and a
 guaranteed catch when a protocol rule is deliberately broken.  The
 injected bug here is the classic mutation — the bank model accepts
 column commands one cycle before tRCD has elapsed — which the device
-model happily issues and only the independent oracle can flag.
+model happily issues and only the independent oracle (or, on the event
+engine, the skip audit) can flag.
 """
 
 import pytest
@@ -93,11 +94,10 @@ class TestCleanRuns:
     @pytest.mark.parametrize("rate", [0.01, 0.8])
     def test_collect_mode_reports_clean(self, fast, rate):
         simulator = build_simulator(
-            sim_params(rate=rate),
-            fast_forward=fast,
-            check_invariants="collect",
+            sim_params(rate=rate), check_invariants="collect"
         )
-        simulator.run()
+        # ``fast`` picks the event engine, otherwise the reference loop.
+        simulator.run() if fast else simulator.run_reference()
         report = simulator.invariant_report
         assert report.clean, report.summary()
         assert report.commands_checked > 0
@@ -105,9 +105,7 @@ class TestCleanRuns:
 
     def test_fast_forward_skips_are_audited(self):
         simulator = build_simulator(
-            sim_params(rate=0.01),
-            fast_forward=True,
-            check_invariants="collect",
+            sim_params(rate=0.01), check_invariants="collect"
         )
         simulator.run()
         assert simulator.cycles_fast_forwarded > 0
@@ -117,14 +115,14 @@ class TestCleanRuns:
 
     def test_raise_mode_is_silent_on_clean_runs(self):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="raise"
+            sim_params(), check_invariants="raise"
         )
         simulator.run()  # must not raise
         assert simulator.invariant_report.clean
 
     def test_off_mode_attaches_no_checker(self):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="off"
+            sim_params(), check_invariants="off"
         )
         simulator.run()
         assert simulator.invariant_report is None
@@ -133,15 +131,15 @@ class TestCleanRuns:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             build_simulator(
-                sim_params(), fast_forward=True, check_invariants="loud"
+                sim_params(), check_invariants="loud"
             )
 
     def test_checking_does_not_perturb_results(self):
         from repro.verify.differential import result_fingerprint
 
-        plain = build_simulator(sim_params(), fast_forward=True).run()
+        plain = build_simulator(sim_params()).run()
         checked = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="collect"
+            sim_params(), check_invariants="collect"
         ).run()
         assert result_fingerprint(plain) == result_fingerprint(checked)
 
@@ -149,19 +147,28 @@ class TestCleanRuns:
 class TestInjectedTrcdBug:
     def test_collect_mode_catches_the_mutation(self, trcd_bug):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="collect"
+            sim_params(), check_invariants="collect"
         )
-        simulator.run()
+        simulator.run_reference()
         report = simulator.invariant_report
         assert not report.clean
         checks = {violation.check for violation in report.violations}
         assert "col.t_rcd" in checks
         first = report.violations[0]
         assert "t_rcd" in str(first) or "ready" in str(first)
+        # The event engine times commands with its own legality model,
+        # so there the mutated device shows up as a command it calls
+        # legal inside a skipped span.
+        engine = build_simulator(sim_params(), check_invariants="collect")
+        engine.run()
+        assert "skip.command" in {
+            violation.check
+            for violation in engine.invariant_report.violations
+        }
 
     def test_raise_mode_raises_verification_error(self, trcd_bug):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="raise"
+            sim_params(), check_invariants="raise"
         )
         with pytest.raises(VerificationError):
             simulator.run()
@@ -169,7 +176,7 @@ class TestInjectedTrcdBug:
     def test_unchecked_run_sails_through(self, trcd_bug):
         # The point of the oracle: without it the mutated device model
         # accepts its own illegal schedule without complaint.
-        simulator = build_simulator(sim_params(), fast_forward=True)
+        simulator = build_simulator(sim_params())
         simulator.run()
         assert simulator.invariant_report is None
 
