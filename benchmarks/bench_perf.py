@@ -45,6 +45,11 @@ implementations and writes ``BENCH_perf.json``:
   identity metadata, never data); the section reports the tracing
   overhead ratio (documented budget: < 5% over the untraced ledgered
   run).
+* **dft_march** — a TestFlow-style lot of 64x64 dies through the
+  production pre-fuse test (March C- then the retention screen) with
+  ``MarchTest.run_reference()`` (the per-cell loop) and ``run()`` (the
+  whole-array engine).  Failing cells, operation counts and final
+  stored bits must match die by die; the section reports the speedup.
 * **serve_cache** — the E10 MPEG2 exploration submitted twice to an
   in-process exploration service: cold (full execution) vs warm (a
   content-addressed cache hit).  The responses must be byte-identical
@@ -824,6 +829,93 @@ def bench_injection(report: PerfReport, cycles: int, warmup: int) -> None:
     )
 
 
+def build_march_lot(dies: int, seed: int = 0) -> list:
+    """A TestFlow-style lot: 64x64 dies, Poisson(1.2) cell faults, a
+    line fault on 5% of dies."""
+    import numpy as np
+
+    from repro.dft.faults import inject_random_faults
+
+    rng = np.random.default_rng(seed)
+    return [
+        inject_random_faults(
+            64,
+            64,
+            n_cell_faults=int(rng.poisson(1.2)),
+            n_line_faults=int(rng.random() < 0.05),
+            seed=seed * 100_003 + index,
+        )
+        for index in range(dies)
+    ]
+
+
+def bench_dft_march(report: PerfReport, dies: int) -> None:
+    """Per-cell reference loop vs the whole-array march engine.
+
+    Each die gets the production pre-fuse test: March C-, then the
+    0.2 s retention screen.  Failing cells, operation counts and the
+    final stored bits must match die by die before any timing is
+    reported.
+    """
+    from repro.dft.march import MARCH_C_MINUS, RETENTION_SCREEN
+
+    def pre_fuse(run_march, lot):
+        return [
+            (
+                sorted(run_march(MARCH_C_MINUS, die).failing_cells),
+                sorted(
+                    run_march(RETENTION_SCREEN, die, 0.2).failing_cells
+                ),
+                die,
+            )
+            for die in lot
+        ]
+
+    def reference(test, die, pause_s=0.0):
+        return test.run_reference(die, pause_s=pause_s)
+
+    def engine(test, die, pause_s=0.0):
+        return test.run(die, pause_s=pause_s)
+
+    reference_lot = build_march_lot(dies)
+    reference_s, reference_out = measure(
+        lambda: pre_fuse(reference, reference_lot)
+    )
+    engine_s = float("inf")
+    engine_out = None
+    for _ in range(3):
+        lot = build_march_lot(dies)
+        seconds, out = measure(lambda: pre_fuse(engine, lot))
+        engine_s = min(engine_s, seconds)
+        if engine_out is None:
+            engine_out = out
+    identical = all(
+        ref[:2] == fast[:2]
+        and (ref[2].stored_bits() == fast[2].stored_bits()).all()
+        for ref, fast in zip(reference_out, engine_out)
+    )
+    if not identical:
+        raise AssertionError(
+            "march engine diverged from the per-cell reference loop"
+        )
+    operations = (
+        MARCH_C_MINUS.ops_per_cell + RETENTION_SCREEN.ops_per_cell
+    ) * 64 * 64 * dies
+    report.add(
+        "dft_march",
+        dies=dies,
+        cells_per_die=64 * 64,
+        operations=operations,
+        failing_cells=sum(len(a) + len(b) for a, b, _ in engine_out),
+        reference_seconds=reference_s,
+        engine_seconds=engine_s,
+        reference_ops_per_sec=operations / reference_s,
+        engine_ops_per_sec=operations / engine_s,
+        speedup=reference_s / engine_s,
+        identical=identical,
+    )
+
+
 def bench_serve(report: PerfReport) -> None:
     """Exploration service: cold execute vs warm content-addressed hit.
 
@@ -1028,6 +1120,7 @@ def run(
             report, cycles=4_000, warmup=500, trace_out=trace_out
         )
         bench_injection(report, cycles=2_000, warmup=200)
+        bench_dft_march(report, dies=8)
     else:
         bench_sim(report, cycles=20_000, warmup=1_000, seed=seed)
         bench_event_engine(report, cycles=16_000, warmup=1_000)
@@ -1035,6 +1128,7 @@ def run(
             report, cycles=16_000, warmup=1_000, trace_out=trace_out
         )
         bench_injection(report, cycles=8_000, warmup=500)
+        bench_dft_march(report, dies=40)
     bench_design_space(report)
     bench_batched_design_space(report)
     bench_parallel_sweep(report)
@@ -1064,6 +1158,9 @@ def test_perf_smoke() -> None:
     batched = report.sections["batched_design_space"]
     assert batched["identical"]
     assert batched["speedup"] > 1.0, batched
+    march = report.sections["dft_march"]
+    assert march["identical"]
+    assert march["speedup"] > 1.0, march
     assert report.sections["parallel_sweep"]["identical"]
     obs = report.sections["observability"]
     assert obs["bit_identical"]

@@ -106,6 +106,13 @@ class FaultyArray:
             self._retention[fault.row, fault.col] = True
         elif fault.kind is FaultKind.COUPLING_INV:
             assert fault.aggressor is not None
+            a_row, a_col = fault.aggressor
+            if not (0 <= a_row < self.rows and 0 <= a_col < self.cols):
+                # No tester address reaches it, so it could never fire.
+                raise ConfigurationError(
+                    f"coupling aggressor {fault.aggressor} outside "
+                    f"{self.rows}x{self.cols} array"
+                )
             victims = self._couplings.setdefault(fault.aggressor, [])
             victim = (fault.row, fault.col)
             # Dedupe: the same coupling injected twice must not invert
@@ -155,6 +162,60 @@ class FaultyArray:
             raise ConfigurationError(
                 f"access ({row}, {col}) outside {self.rows}x{self.cols}"
             )
+
+    # -- whole-array march interface -----------------------------------------
+
+    def march_element(
+        self, operations: tuple, descending: bool = False
+    ) -> np.ndarray:
+        """Apply one march element to every cell; return the failing mask.
+
+        Equivalent to visiting the cells in row-major address order
+        (reversed when ``descending``) and applying ``operations`` to
+        each through :meth:`write` / :meth:`read`.  Every fault but CFin
+        acts on its own cell alone, so each operation is one NumPy
+        expression over the whole array.  The cells a coupling touches
+        (aggressors and victims) interact, so they get their
+        pre-element values back and are replayed one by one, in address
+        order, through :meth:`write` / :meth:`read`.
+
+        A cell is flagged when any of its reads returns the value other
+        than the one the operation expects ("r0" expects 0).
+        """
+        replay = self._replay_order(descending)
+        if replay:
+            index = tuple(np.array(replay).T)
+            before = self._data[index]
+        failing = np.zeros_like(self._data)
+        for op in operations:
+            if op == "w0":
+                self._data[...] = False
+            elif op == "w1":
+                self._data |= ~self._transition  # 0->1 fails silently
+            else:
+                reads_one = ~self._stuck0 & (self._stuck1 | self._data)
+                failing |= reads_one if op == "r0" else ~reads_one
+        if replay:
+            failing[index] = False
+            self._data[index] = before
+            for row, col in replay:
+                for op in operations:
+                    if op[0] == "w":
+                        self.write(row, col, op == "w1")
+                    elif self.read(row, col) is not (op == "r1"):
+                        failing[row, col] = True
+        return failing
+
+    def _replay_order(self, descending: bool) -> list:
+        """Coupling aggressors and victims in march address order."""
+        cells = set(self._couplings)
+        for victims in self._couplings.values():
+            cells.update(victims)
+        return sorted(cells, reverse=descending)
+
+    def stored_bits(self) -> np.ndarray:
+        """Copy of the bits the cells hold (before stuck-at masking)."""
+        return self._data.copy()
 
     # -- ground truth --------------------------------------------------------
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.dft.faults import FaultKind, FaultyArray, inject_random_faults
-from repro.dft.march import MarchTest, MARCH_C_MINUS
+from repro.dft.faults import FaultyArray, inject_random_faults
+from repro.dft.march import MARCH_C_MINUS, RETENTION_SCREEN, MarchTest
 from repro.dft.redundancy import RepairPlan, allocate_spares
 
 
@@ -74,9 +74,11 @@ class TestFlow:
         test: March algorithm used pre- and post-fuse.
         mean_faults_per_die: Poisson mean of injected cell faults.
         line_fault_rate: Probability a die carries a full line failure.
-        waive_retention_only: Relaxed quality target: ship dies whose
-            only failures are retention cells (graphics-grade parts).
-        retention_pause_s: Pause used to expose retention faults.
+        waive_retention_only: Relaxed quality target: ship dies that
+            pass the march and fail only the retention screen
+            (graphics-grade parts).
+        retention_pause_s: Pause of the retention screen that follows
+            the march.
     """
 
     rows: int = 64
@@ -119,40 +121,24 @@ class TestFlow:
         Returns ``(category, plan)`` where category is one of
         ``"perfect"``, ``"repaired"``, ``"waived"``, ``"scrap"``.
         """
-        # (1) Pre-fuse test: march with a retention pause appended.
+        # (1) Pre-fuse test: the march, then a retention screen at
+        # ``retention_pause_s`` over the whole array.
         pre = self.test.run(array)
-        array.pause(self.retention_pause_s)
-        # Re-read the '0' background the test left to expose retention.
-        retention_failures = {
-            (fault.row, fault.col)
-            for fault in array.faults
-            if fault.kind is FaultKind.RETENTION
-        }
-        failing = set(pre.failing_cells)
-        # Retention faults decay to 0; the final background is 0, so a
-        # dedicated checkerboard pass is modeled by consulting the pause
-        # outcome directly: write 1, pause, read.
-        for row, col in retention_failures:
-            array.write(row, col, True)
-        array.pause(self.retention_pause_s)
-        for row, col in retention_failures:
-            if array.read(row, col) is not True:
-                failing.add((row, col))
+        retention = RETENTION_SCREEN.run(array, pause_s=self.retention_pause_s)
+        failing = pre.failing_cells | retention.failing_cells
         if not failing:
             return "perfect", None
-        # Relaxed quality target: waive retention-only fallout.
-        if self.waive_retention_only and failing <= retention_failures:
+        # Relaxed quality target: waive dies only the retention screen
+        # flagged.
+        if self.waive_retention_only and pre.passed:
             return "waived", None
-        # (2) Repair allocation + fuse blowing.
+        # (2) Repair allocation + fuse blowing.  A plan is ``repaired``
+        # only when its spares cover every failing cell, so (3) the
+        # post-fuse test passes exactly for repaired dies.
         plan = allocate_spares(
             failing, self.spare_rows, self.spare_cols
         )
         if not plan.repaired:
-            return "scrap", plan
-        # (3) Post-fuse test: all failing cells must now be covered by
-        # spares; verify the plan actually covers the observed failures.
-        uncovered = {cell for cell in failing if not plan.covers(cell)}
-        if uncovered:
             return "scrap", plan
         return "repaired", plan
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.dft.faults import FaultyArray
 
@@ -103,8 +105,41 @@ class MarchTest:
         """Execute the test against a faulty array.
 
         Returns a :class:`MarchResult` with the failing cells observed
-        (cells where any read returned the unexpected value).
+        (cells where any read returned the unexpected value).  Each
+        element is applied to the whole array at once by
+        :meth:`FaultyArray.march_element`; the result, operation count
+        and final array state equal :meth:`run_reference`'s.
         """
+        failing: set = set()
+        flagged = np.zeros((array.rows, array.cols), dtype=bool)
+        for index, element in enumerate(self.elements):
+            descending = element.direction is Direction.DOWN
+            new = array.march_element(element.operations, descending)
+            new &= ~flagged
+            if new.any():
+                flagged |= new
+                # Insert in the order the per-cell loop first flags them
+                # so the set iterates identically downstream.
+                cells = np.argwhere(new).tolist()
+                if descending:
+                    cells.reverse()
+                failing.update(map(tuple, cells))
+            if self.pause_after_element == index and pause_s > 0:
+                array.pause(pause_s)
+        return MarchResult(
+            test=self,
+            failing_cells=failing,
+            operations=self.operation_count(array.rows * array.cols),
+        )
+
+    def run_reference(
+        self,
+        array: FaultyArray,
+        pause_s: float = 0.0,
+    ) -> "MarchResult":
+        """The per-cell loop :meth:`run` must match: one
+        :meth:`FaultyArray.write` / :meth:`FaultyArray.read` call per
+        cell per operation.  Kept as the differential oracle."""
         failing: set = set()
         operations = 0
         for index, element in enumerate(self.elements):
@@ -210,6 +245,17 @@ MARCH_C_RETENTION = MarchTest(
     name="March C- + retention",
     elements=MARCH_C_MINUS.elements,
     pause_after_element=1,  # pause while the array holds the '1' background
+)
+
+#: Retention screen: 2N.  Write the '1' background, wait, read it back;
+#: flags every cell that does not hold a 1 across the pause.
+RETENTION_SCREEN = MarchTest(
+    name="retention screen",
+    elements=(
+        MarchElement(_ANY, ("w1",)),
+        MarchElement(_ANY, ("r1",)),
+    ),
+    pause_after_element=0,
 )
 
 

@@ -21,6 +21,7 @@ from repro.verify.differential import (
     FieldDiff,
     FirstDivergence,
     diff_engine,
+    diff_march,
     diff_memoized_vs_cold,
     diff_results,
     diff_serial_vs_parallel,
@@ -55,6 +56,7 @@ __all__ = [
     "PROPERTIES",
     "Violation",
     "diff_engine",
+    "diff_march",
     "diff_memoized_vs_cold",
     "diff_results",
     "diff_serial_vs_parallel",

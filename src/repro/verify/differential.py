@@ -15,7 +15,10 @@ turns that promise into machinery:
 * :func:`diff_serial_vs_parallel` compares a process-pool sweep against
   its serial reference, point by point in input order;
 * :func:`diff_memoized_vs_cold` compares a memo-served evaluator result
-  against a cold evaluator of identical configuration.
+  against a cold evaluator of identical configuration;
+* :func:`diff_march` runs a march test through the whole-array engine
+  (``MarchTest.run``) and the per-cell loop (``run_reference``) on two
+  identically built fault arrays.
 
 Everything returns a :class:`DifferentialReport`; ``report.identical``
 is the assertion surface, ``report.describe()`` the failure message.
@@ -348,3 +351,38 @@ def diff_memoized_vs_cold(macro, requirements) -> DifferentialReport:
     cold = Evaluator().evaluate_macro(macro, requirements)
     diffs = diff_values(memoized, cold, "metrics")
     return DifferentialReport(label="memoized vs cold", diffs=diffs)
+
+
+def diff_march(test, build_array, pause_s: float = 0.0) -> DifferentialReport:
+    """Compare the whole-array march engine against the per-cell loop.
+
+    ``build_array()`` must return a fresh, identically faulted
+    :class:`~repro.dft.faults.FaultyArray` on every call.  The failing
+    cells (which must be tuples of Python ``int``), the operation count
+    and the final stored bits must all match.
+    """
+    reference_array = build_array()
+    engine_array = build_array()
+    reference = test.run_reference(reference_array, pause_s=pause_s)
+    engine = test.run(engine_array, pause_s=pause_s)
+    diffs = diff_values(
+        sorted(reference.failing_cells),
+        sorted(engine.failing_cells),
+        "failing_cells",
+    )
+    diffs += diff_values(reference.operations, engine.operations, "operations")
+    diffs += diff_values(
+        reference_array.stored_bits().tolist(),
+        engine_array.stored_bits().tolist(),
+        "stored_bits",
+    )
+    foreign = [
+        cell
+        for cell in engine.failing_cells
+        if type(cell) is not tuple or any(type(x) is not int for x in cell)
+    ]
+    if foreign:
+        diffs.append(FieldDiff("failing_cells.type", "(int, int)", foreign[0]))
+    return DifferentialReport(
+        label=f"{test.name}: run() vs run_reference()", diffs=diffs
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dft.bist import BISTController
+from repro.dft.faults import Fault, FaultKind, FaultyArray
 from repro.dft.flow import TestFlow
 from repro.dft.march import MARCH_C_MINUS
 from repro.dft.test_cost import (
@@ -134,3 +135,32 @@ class TestProductionFlow:
     def test_bad_lot(self):
         with pytest.raises(ConfigurationError):
             TestFlow().run_lot(0)
+
+    @pytest.mark.parametrize(
+        "waive, category", [(False, "repaired"), (True, "waived")]
+    )
+    def test_retention_screen_is_a_measurement(self, waive, category):
+        # A tester cannot read the ground-truth fault list: a die whose
+        # list was dropped (its fault masks stay) must still be caught
+        # by the retention screen, not come out "perfect".
+        flow = TestFlow(waive_retention_only=waive)
+        for blind in (False, True):
+            die = FaultyArray(rows=64, cols=64)
+            die.inject(Fault(kind=FaultKind.RETENTION, row=3, col=5))
+            if blind:
+                die.faults.clear()
+            assert flow.process_die(die)[0] == category
+
+    def test_lot_ignores_ground_truth(self, monkeypatch):
+        flow = TestFlow(waive_retention_only=True, line_fault_rate=0.3)
+        known = flow.run_lot(60, seed=11)
+        build = TestFlow._build_die
+
+        def build_blind(self, rng, seed):
+            die = build(self, rng, seed)
+            die.faults.clear()
+            return die
+
+        monkeypatch.setattr(TestFlow, "_build_die", build_blind)
+        assert flow.run_lot(60, seed=11) == known
+        assert known.waived > 0
