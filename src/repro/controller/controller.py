@@ -179,6 +179,17 @@ class MemoryController:
 
     # -- event-engine support -------------------------------------------------
 
+    def event_engine_safe(self) -> bool:
+        """Whether the event engine's analysis covers this controller.
+
+        The engine runs the controller's phases itself and picks
+        request commands without calling ``_next_command``, so only a
+        controller running exactly the stock hooks qualifies; a
+        subclass returns True only when every override delegates to
+        the stock behaviour.
+        """
+        return type(self) is MemoryController
+
     def skip_idle_cycles(self, cycles: int) -> None:
         """Account for ``cycles`` cycles the event engine skipped.
 

@@ -122,9 +122,13 @@ class FaultyArray:
                 victims.append(victim)
 
     def inject(self, fault: Fault) -> None:
-        """Add a fault after construction."""
-        self.faults.append(fault)
+        """Add a fault after construction.
+
+        The fault is validated (and applied) before it joins the
+        ground-truth list, so a rejected fault leaves no trace.
+        """
         self._apply_fault(fault)
+        self.faults.append(fault)
 
     # -- tester-visible interface ------------------------------------------------
 

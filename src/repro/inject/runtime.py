@@ -26,9 +26,11 @@ All hooks are no-ops when ``injector`` is None or disabled: the
 controller is then command-for-command identical to the baseline, which
 is what :func:`repro.verify.differential.diff_injection_off` pins.
 
-Being a controller subclass, it always runs on the simulator's stepped
-reference loop: fault draws happen on a per-cycle clock and must not be
-skipped over.
+With an enabled injector it runs on the simulator's stepped reference
+loop: fault draws happen on a per-cycle clock and must not be skipped
+over.  With none, or a disabled one,
+:meth:`ResilientController.event_engine_safe` lets ``run()`` take the
+event engine like the plain controller.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class ResilientController(MemoryController):
         if injector is not None and injector.enabled:
             return injector
         return None
+
+    def event_engine_safe(self) -> bool:
+        """With no enabled injector every hook delegates to the stock
+        controller, so the run can take the event engine."""
+        return type(self) is ResilientController and self._active() is None
 
     # -- client interface: injected FIFO stalls -------------------------------
 

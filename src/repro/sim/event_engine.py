@@ -23,12 +23,18 @@ reference loop would have accrued: token-bucket credit for idle clients
 back-pressured clients, and FIFO occupancy statistics.  Cost therefore
 scales with commands issued, not cycles elapsed.
 
-On stepped cycles the controller's phases run individually so the
-scheduler's candidate scan — the dominant per-cycle cost at realistic
-window sizes — only executes on cycles where a command can actually
-issue.  The cached next-command time is maintained incrementally: an
-accepted request min-updates it in O(1); any issued command (request,
-refresh or policy precharge) invalidates it for lazy recomputation.
+On stepped cycles the controller's phases run individually, and the
+engine picks the request command itself instead of running the
+scheduler's ranking: one pass over the window in acceptance order
+(:meth:`EventEngine._scan`) classifies each request by closed-form
+legality (row hit, bank preparation, or no candidate) and yields the
+FR-FCFS or FCFS winner, or, when nothing is legal yet, the earliest
+cycle something will be.  Exactly one ``Command`` is built per issued
+command and the device model still validates it, so a pick the device
+disagrees with raises ``ProtocolError`` instead of diverging silently.
+The cached next-command time is maintained incrementally: an accepted
+request min-updates it in O(1); any issued command (request, refresh or
+policy precharge) invalidates it for lazy recomputation.
 
 Attached observability and live invariant checking ride along: stepped
 cycles emit the same hooks as the reference loop, each jump calls
@@ -39,17 +45,20 @@ conditions below before it is applied.
 
 Safety argument, pinned by ``tests/test_sim_event_backend.py`` and the
 ``diff_engine`` oracle: command legality is monotone in the cycle for
-fixed bank/device state, the scheduler's candidate ranking depends on
-bank state only through ``_open_row`` (which changes only when commands
+fixed bank/device state, the FR-FCFS ranking depends on bank state
+only through ``_open_row`` (which changes only when commands
 issue), and all three stock arbiters are state-neutral on cycles where
 no request can be accepted (window full or all FIFOs empty).  Every
 skip event is computed conservatively — stepping a cycle where nothing
 happens is always exact; only a *late* event could diverge, and the
 differential fuzz corpus exists to catch exactly that.
 
-Configurations outside the analyzed envelope (controller or device
-subclasses, unknown scheduler or arbiter types) run on the reference
-loop; ``MemorySystemSimulator.backend_fallback_reason`` records why.
+The reference loop (``Scheduler.candidates`` ranking,
+``MemoryController._next_command`` and ``_issue_request_command``)
+stays the oracle.  Configurations outside the analyzed envelope
+(controllers whose ``event_engine_safe()`` is False, device subclasses,
+unknown scheduler or arbiter types) run on it;
+``MemorySystemSimulator.backend_fallback_reason`` records why.
 """
 
 from __future__ import annotations
@@ -61,8 +70,8 @@ from repro.controller.arbiter import (
     RoundRobinArbiter,
     TDMArbiter,
 )
-from repro.controller.controller import MemoryController
 from repro.controller.scheduler import FCFSScheduler, FRFCFSScheduler
+from repro.dram.commands import Command, CommandType
 from repro.dram.device import DRAMDevice
 from repro.sim.stats import SimulationResult
 
@@ -81,9 +90,9 @@ def event_fallback_reason(simulator) -> str | None:
     on the reference loop instead of risking silent divergence.
     """
     controller = simulator.controller
-    if type(controller) is not MemoryController:
+    if not controller.event_engine_safe():
         return (
-            f"controller subclass {type(controller).__name__} "
+            f"controller {type(controller).__name__} runs hooks "
             "not analyzed for event skipping"
         )
     if type(simulator.device) is not DRAMDevice:
@@ -114,8 +123,8 @@ class EventEngine:
         self.sim = simulator
         self.controller = simulator.controller
         self.device = simulator.device
-        #: Earliest cycle at which the candidate scan can issue a
-        #: command, given current window/bank/bus state; None = stale.
+        #: Earliest cycle at which a request command can issue, given
+        #: current window/bank/bus state (:meth:`_scan`); None = stale.
         self._next_cmd_time: int | None = None
         #: Per client: ``(issued, wake)`` — the absolute cycle at which
         #: the client next wants to issue, valid while its ``issued``
@@ -123,6 +132,7 @@ class EventEngine:
         #: trajectory in between; a back-pressure freeze always starts
         #: with an issue).
         self._wake = [(-1, 0)] * len(simulator.clients)
+        self._fcfs = type(self.controller.scheduler) is FCFSScheduler
 
     # -- main loop -----------------------------------------------------------
 
@@ -200,9 +210,10 @@ class EventEngine:
         """One full simulated cycle, phase-decomposed.
 
         Identical effects to ``sim._drive_clients(cycle)`` followed by
-        ``controller.step(cycle)``, except that the scheduler's
-        candidate scan only runs on cycles where the cached
-        next-command time says a command can issue.
+        ``controller.step(cycle)``, except that the request command is
+        picked by the engine's own window pass (:meth:`_scan`), and
+        only on cycles where the cached next-command time says one can
+        issue.
         """
         self.sim._drive_clients(cycle)
         controller = self.controller
@@ -211,7 +222,10 @@ class EventEngine:
         accepted = len(window)
         controller._accept(cycle)
         if len(window) != accepted and self._next_cmd_time is not None:
-            earliest = self._earliest_for(window[-1])
+            # The newcomer is the youngest request, so it cannot delay
+            # anyone; alone in the scan it counts as the oldest for its
+            # bank, which can only make the estimate early (safe).
+            earliest = self._scan(window[-1:], cycle)[0]
             if earliest < self._next_cmd_time:
                 self._next_cmd_time = earliest
         if controller._service_refresh(cycle):
@@ -231,62 +245,73 @@ class EventEngine:
                 self._next_cmd_time = None
         if window:
             when = self._next_cmd_time
-            if when is None:
-                when = self._compute_next_cmd_time(cycle)
+            if when is None or when <= cycle:
+                when, request, kind = self._scan(self._candidates(), cycle)
+                if request is not None:
+                    self._issue_request(request, kind, cycle)
+                    when = None
                 self._next_cmd_time = when
-            if when <= cycle:
-                controller._issue_request_command(cycle)
-                self._next_cmd_time = None
         controller._observe(cycle)
 
-    # -- next-command-time model ----------------------------------------------
-
-    def _earliest_for(self, request) -> int:
-        """Earliest cycle the controller could issue for ``request``.
-
-        Mirrors ``MemoryController._next_command`` +
-        ``DRAMDevice.can_issue`` legality, inverted from "is cycle C
-        legal?" to "what is the first legal C?".  Exact for fixed
-        bank/device state (legality is monotone in the cycle), and any
-        issued command invalidates the cache before state changes.
-        """
+    def _issue_request(self, request, kind: CommandType, cycle: int) -> None:
+        """Issue the picked command: one ``Command``, validated by the
+        device model (a wrong pick raises ``ProtocolError``)."""
+        controller = self.controller
         decoded = request.decoded
-        controller = self.controller
-        if decoded.bank in controller._close_wanted:
-            return _NEVER  # blocked until the policy precharge lands
-        device = self.device
-        bank = device.banks[decoded.bank]
-        open_row = bank._open_row  # _settle() never changes _open_row
-        timing = device.timing
-        if open_row == decoded.row:
-            earliest_bus = device.data_bus_free_cycle
-            is_read = request.is_read
-            last_read = device.last_data_was_read
-            if last_read is not None and last_read != is_read:
-                earliest_bus += timing.t_turnaround
-            data_lead = timing.t_cas if is_read else 1
-            return max(bank.earliest_column(), earliest_bus - data_lead)
-        if open_row is not None:
-            return bank.earliest_precharge()
-        return max(
-            bank.earliest_activate(),
-            device.last_activate_cycle + timing.t_rrd,
-        )
+        if kind is CommandType.PRECHARGE:
+            controller._issue(
+                Command(kind=kind, cycle=cycle, bank=decoded.bank)
+            )
+        elif kind is CommandType.ACTIVATE:
+            controller._issue(
+                Command(
+                    kind=kind,
+                    cycle=cycle,
+                    bank=decoded.bank,
+                    row=decoded.row,
+                    request_id=request.request_id,
+                )
+            )
+        else:
+            end = controller._issue(
+                Command(
+                    kind=kind,
+                    cycle=cycle,
+                    bank=decoded.bank,
+                    column=decoded.column,
+                    request_id=request.request_id,
+                )
+            )
+            controller._commit_access(request, cycle, end)
 
-    def _compute_next_cmd_time(self, cycle: int) -> int:
-        """Min over the candidate ranking of per-request issue times.
+    # -- request classification ----------------------------------------------
 
-        Specialized to one flat pass over the window rather than
-        materializing the scheduler's ranking: a request's earliest
-        issue time depends only on its (bank, direction, hit-or-miss)
-        class, so each class is computed once.  FR-FCFS candidates are
-        exactly the row hits plus the oldest non-hit request per bank;
-        FCFS only ever advances the head request.
+    def _candidates(self) -> list:
+        """The requests the scheduler may advance: FCFS only ever
+        advances the head; FR-FCFS considers the whole window."""
+        window = self.controller.window
+        return window[:1] if self._fcfs else window
+
+    def _scan(self, requests, cycle: int) -> tuple:
+        """One pass over ``requests`` (acceptance order) at ``cycle``.
+
+        If some candidate's command is legal at ``cycle``, returns
+        ``(when, request, kind)`` for the winner, with ``when <= cycle``:
+        the first legal row hit by age, else the first legal
+        oldest-per-bank non-hit, which gets PRECHARGE or ACTIVATE (the
+        FR-FCFS order; under FCFS ``requests`` is just the head).
+        Otherwise returns ``(earliest, None, None)``: the earliest cycle
+        any candidate's command becomes legal.
+
+        Legality is ``MemoryController._next_command`` plus
+        ``DRAMDevice.can_issue`` in closed form, read straight from the
+        bank and device state: exact for fixed state (legality is
+        monotone in the cycle), and any issued command invalidates the
+        cached time before state changes.  Row hits of one bank and
+        direction share a legality, so each such class is computed
+        once.  Banks awaiting a committed policy precharge are blocked.
         """
         controller = self.controller
-        window = controller.window
-        if type(controller.scheduler) is FCFSScheduler:
-            return self._earliest_for(window[0]) if window else _NEVER
         device = self.device
         banks = device.banks
         timing = device.timing
@@ -297,9 +322,10 @@ class EventEngine:
         t_cas = timing.t_cas
         t_turnaround = timing.t_turnaround
         earliest = _NEVER
+        prep = prep_kind = None
         seen_banks: set[int] = set()
         seen_hits: set[tuple[int, bool]] = set()
-        for request in window:
+        for request in requests:
             decoded = request.decoded
             index = decoded.bank
             oldest = index not in seen_banks
@@ -308,12 +334,12 @@ class EventEngine:
             if index in close_wanted:
                 continue
             bank = banks[index]
-            open_row = bank._open_row
+            open_row = bank._open_row  # _settle() never changes it
             if open_row == decoded.row:
                 is_read = request.is_read
                 key = (index, is_read)
                 if key in seen_hits:
-                    continue
+                    continue  # same legality as an earlier, older hit
                 seen_hits.add(key)
                 bus = bus_free
                 if last_read is not None and last_read != is_read:
@@ -322,20 +348,31 @@ class EventEngine:
                 data_start = bus - (t_cas if is_read else 1)
                 if data_start > when:
                     when = data_start
-            elif oldest:
+                if when <= cycle:
+                    return (
+                        when,
+                        request,
+                        CommandType.READ if is_read else CommandType.WRITE,
+                    )
+            elif oldest and prep is None:
                 if open_row is not None:
                     when = bank._ready_precharge
+                    kind = CommandType.PRECHARGE
                 else:
                     when = bank._ready_activate
                     if activate_floor > when:
                         when = activate_floor
+                    kind = CommandType.ACTIVATE
+                if when <= cycle:
+                    prep, prep_kind = request, kind
+                    continue  # a younger legal row hit still wins
             else:
                 continue
             if when < earliest:
                 earliest = when
-                if earliest <= cycle:
-                    break
-        return earliest
+        if prep is not None:
+            return cycle, prep, prep_kind
+        return earliest, None, None
 
     # -- skip analysis --------------------------------------------------------
 
@@ -387,7 +424,7 @@ class EventEngine:
         if window:
             when = self._next_cmd_time
             if when is None:
-                when = self._compute_next_cmd_time(next_cycle)
+                when = self._scan(self._candidates(), next_cycle)[0]
                 self._next_cmd_time = when
             if when < target:
                 target = when

@@ -209,6 +209,16 @@ class TestFaultModelRegressions:
         array.write(0, 0, True)
         assert array.read(1, 1) is True
 
+    def test_rejected_fault_leaves_ground_truth_unchanged(self):
+        # A fault outside the array used to join the ground-truth list
+        # before validation rejected it.
+        array = FaultyArray(rows=4, cols=4)
+        array.inject(Fault(kind=FaultKind.STUCK_AT_1, row=0, col=0))
+        with pytest.raises(ConfigurationError):
+            array.inject(Fault(kind=FaultKind.STUCK_AT_0, row=9, col=9))
+        assert array.faulty_cells() == {(0, 0)}
+        assert len(array.faults) == 1
+
     def test_random_faults_deterministic(self):
         a = inject_random_faults(16, 16, n_cell_faults=10, n_line_faults=3,
                                  seed=42)

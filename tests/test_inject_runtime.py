@@ -53,6 +53,54 @@ class TestBitIdentity:
         assert result_fingerprint(a) == result_fingerprint(b)
 
 
+class TestLoopSelection:
+    """A resilient controller whose hooks all delegate to the stock ones
+    runs on the event engine; an enabled injector runs stepped."""
+
+    def test_no_or_disabled_injector_runs_on_engine(self):
+        plain_sim, plain = _run(refresh_retention_s=1e-3)
+        assert plain_sim.backend_used == "event"
+        disabled_sim, disabled = _run(
+            InjectionConfig(enabled=False, n_cell_faults=50),
+            refresh_retention_s=1e-3,
+        )
+        no_injector_sim = build_injected_simulator(
+            InjectionConfig(enabled=False),
+            refresh_retention_s=1e-3,
+            **RUN,
+        )
+        no_injector_sim.controller.injector = None
+        no_injector = no_injector_sim.run()
+        for simulator in (disabled_sim, no_injector_sim):
+            assert type(simulator.controller).__name__ == (
+                "ResilientController"
+            )
+            assert simulator.backend_used == "event"
+            assert simulator.backend_fallback_reason is None
+        assert result_fingerprint(disabled) == result_fingerprint(plain)
+        assert result_fingerprint(no_injector) == result_fingerprint(plain)
+
+    def test_enabled_injector_falls_back_with_reason(self):
+        simulator, _ = _run(InjectionConfig(n_cell_faults=50))
+        assert simulator.backend_used == "cycle"
+        reason = simulator.backend_fallback_reason
+        assert reason is not None and "ResilientController" in reason
+
+    def test_resilient_subclass_falls_back(self):
+        from repro.inject.runtime import ResilientController
+
+        class AuditedController(ResilientController):
+            pass
+
+        simulator = build_injected_simulator(
+            InjectionConfig(enabled=False), **RUN
+        )
+        simulator.controller.__class__ = AuditedController
+        simulator.run()
+        assert simulator.backend_used == "cycle"
+        assert "AuditedController" in simulator.backend_fallback_reason
+
+
 class TestEccRetry:
     def test_correctable_reads_retried_then_accepted(self):
         injector = FaultInjector(
